@@ -21,12 +21,17 @@ non-extendable word has a finite tree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable, Iterator, TypeVar
 
 from . import analysis, thue_morse, words
 
 _BAD_PREFIXES = ("ababa", "babab")
+
+_Node = TypeVar("_Node")
+_Hit = TypeVar("_Hit")
 
 
 class NotExtendableError(ValueError):
@@ -117,6 +122,7 @@ _no_binary_reduction: set[tuple[str, int]] = set()
 
 
 def clear_caches() -> None:
+    _uniform_context_tail.cache_clear()
     _verdicts.clear()
     _no_uniform_context.clear()
     _no_binary_reduction.clear()
@@ -161,15 +167,44 @@ def chain_length_audit(u: str, w: str) -> int:
     return k
 
 
+def _depth_first(
+    root: _Node,
+    children: Callable[[_Node], Iterator[_Node]],
+    goal: Callable[[_Node], _Hit | None],
+) -> _Hit | None:
+    """First non-None goal(node) over the tree below root, in depth-first
+    order.  children(node) is consumed lazily, so a sibling is tested only
+    once every subtree before it has failed; the explicit stack bounds the
+    depth by memory, not by the interpreter's recursion limit."""
+    stack = [iter((root,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+            continue
+        hit = goal(node)
+        if hit is not None:
+            return hit
+        stack.append(children(node))
+    return None
+
+
+def _right_contexts(s: str, depth: int, alphabet: str = "ab") -> Callable[[str], Iterator[str]]:
+    """Children function for the cube-free right contexts of s, cut at depth."""
+
+    def children(w: str) -> Iterator[str]:
+        if len(w) < depth:
+            for x in alphabet:
+                if words.append_check(s + w, x, assume_cube_free=True) is None:
+                    yield w + x
+
+    return children
+
+
 def _has_cf_context(u: str, k: int) -> bool:
     """Does u have any cube-free binary right context of length k?"""
-    if k == 0:
-        return True
-    for x in "ab":
-        if words.append_check(u, x, assume_cube_free=True) is None:
-            if _has_cf_context(u + x, k - 1):
-                return True
-    return False
+    reached = _depth_first("", _right_contexts(u, k), lambda w: True if len(w) == k else None)
+    return reached is not None
 
 
 def _tail_starts(tail: str, *, prefer_tm: bool) -> list[int]:
@@ -265,7 +300,8 @@ def _attach_tail(u: str, consumed: str, remainder: str) -> TailCertificate:
             sub = t_extend_uniform(s)
         except ValueError as exc:
             raise _ConstructionMiss(str(exc))
-        return TailCertificate(consumed + sub.Y, sub.r, sub.seam, sub.tm_aligned)._checked(u)
+        # u + consumed + sub.Y is s + sub.Y, which t_extend_uniform verified
+        return TailCertificate(consumed + sub.Y, sub.r, sub.seam, sub.tm_aligned)
     marks = analysis.scan_markers(s)
     if not marks:
         raise _ConstructionMiss("non-uniform word without markers")
@@ -294,6 +330,14 @@ def t_extend_with_uniform_context(u: str, w: str) -> TailCertificate:
     re-split at its rightmost marker, whose trailing part is a long
     right-aligned word that a T-tail continues.
     """
+    return _uniform_context_tail(u, w)
+
+
+# The construction is a pure function of (u, w).  Remembering recent results
+# lets algorithm2 reuse the certificate that its extendability decision has
+# already built and verified for the same word and context.
+@functools.lru_cache(maxsize=64)
+def _uniform_context_tail(u: str, w: str) -> TailCertificate:
     analysis._require_binary(u + w)
     if not words.is_cube_free(u + w):
         raise ValueError("w must be a right context of u")
@@ -305,7 +349,11 @@ def t_extend_with_uniform_context(u: str, w: str) -> TailCertificate:
         raise ValueError("context must not begin with ababa or babab")
 
     candidates = [k for k in (2 * len(u), 2 * len(u) + 1) if analysis.is_right_aligned(w[:k])]
-    assert candidates, "a uniform word has a right-aligned prefix at one of two lengths"
+    if not candidates:
+        raise RuntimeError(
+            f"internal error: uniform context {w!r} has no right-aligned prefix "
+            f"of length {2 * len(u)} or {2 * len(u) + 1}"
+        )
     misses = []
     for k in candidates:
         try:
@@ -320,13 +368,15 @@ def _find_uniform_context(
 ) -> str | None:
     """Lexicographically first uniform cube-free right context of s with
     exactly the given length and no forbidden prefix; optionally only one
-    that keeps the extended word right extendable."""
+    that keeps the extended word right extendable.
 
-    def rec(q: str, parity: int | None) -> str | None:
+    A node is (q, parity): parity is the position parity shared by every
+    doubled letter of q, None before the first one."""
+
+    def children(node: tuple[str, int | None]) -> Iterator[tuple[str, int | None]]:
+        q, parity = node
         if len(q) == qlen:
-            if require_extendable and not is_right_extendable(s + q, d_check).extendable:
-                return None
-            return q
+            return
         for x in "ab":
             new_parity = parity
             if q and q[-1] == x:
@@ -338,12 +388,17 @@ def _find_uniform_context(
                 continue
             if words.append_check(s + q, x, assume_cube_free=True) is not None:
                 continue
-            hit = rec(q + x, new_parity)
-            if hit is not None:
-                return hit
-        return None
+            yield q + x, new_parity
 
-    return rec("", None)
+    def goal(node: tuple[str, int | None]) -> str | None:
+        q = node[0]
+        if len(q) != qlen:
+            return None
+        if require_extendable and not is_right_extendable(s + q, d_check).extendable:
+            return None
+        return q
+
+    return _depth_first(("", None), children, goal)
 
 
 def _binary_suffix(s: str) -> str:
@@ -360,20 +415,13 @@ def _search_lifting_context(s: str, s2: str, need: int) -> tuple[str, Extendabil
     reaching past the last c-letter of s would need a period both larger
     than |s2 + w| and smaller than half the c-letter's position."""
 
-    def rec(w: str) -> tuple[str, ExtendabilityVerdict] | None:
-        if len(w) == need:
-            sub = is_right_extendable(s2 + w, 2)
-            if sub.extendable:
-                return w, sub
+    def goal(w: str) -> tuple[str, ExtendabilityVerdict] | None:
+        if len(w) != need:
             return None
-        for x in "ab":
-            if words.append_check(s + w, x, assume_cube_free=True) is None:
-                hit = rec(w + x)
-                if hit is not None:
-                    return hit
-        return None
+        sub = is_right_extendable(s2 + w, 2)
+        return (w, sub) if sub.extendable else None
 
-    return rec("")
+    return _depth_first("", _right_contexts(s, need), goal)
 
 
 def _node_certificate(s: str, d: int) -> TailCertificate | None:
@@ -397,7 +445,8 @@ def _node_certificate(s: str, d: int) -> TailCertificate | None:
         return None
     w, sub = hit
     cert2 = sub.certificate
-    assert cert2 is not None
+    if cert2 is None:
+        raise RuntimeError(f"internal error: extendable verdict without certificate for {s2 + w!r}")
     seam = len(s) - len(s2) + cert2.seam
     return TailCertificate(w + cert2.Y, cert2.r, seam, tm_aligned=False)._checked(s)
 
@@ -405,20 +454,16 @@ def _node_certificate(s: str, d: int) -> TailCertificate | None:
 def _bounded_context_probe(u: str, d: int, bound: int) -> ExtendabilityVerdict:
     """Fast heuristic decision: any context of the given length counts as a
     yes (no certificate); exhaustion below it is still an exact no."""
-    alphabet = words.letters_of(d)
+    if bound < 0:
+        raise ValueError(f"context bound must be non-negative, got {bound}")
     deepest = 0
 
-    def probe(s: str, depth: int) -> bool:
+    def goal(w: str) -> bool | None:
         nonlocal deepest
-        deepest = max(deepest, depth)
-        if depth == bound:
-            return True
-        return any(
-            words.append_check(s, x, assume_cube_free=True) is None and probe(s + x, depth + 1)
-            for x in alphabet
-        )
+        deepest = max(deepest, len(w))
+        return True if len(w) == bound else None
 
-    if probe(u, 0):
+    if _depth_first("", _right_contexts(u, bound, words.letters_of(d)), goal):
         return ExtendabilityVerdict(True, None, None, heuristic=True)
     return ExtendabilityVerdict(False, None, deepest)
 
@@ -459,7 +504,8 @@ def is_right_extendable(
             hit = _verdicts.get((s, d))
             if hit is not None:
                 if hit.extendable:
-                    assert hit.certificate is not None
+                    if hit.certificate is None:
+                        raise RuntimeError(f"internal error: cached verdict without certificate for {s!r}")
                     cert = TailCertificate(
                         s[len(u) :] + hit.certificate.Y,
                         hit.certificate.r,
@@ -620,5 +666,8 @@ def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> Ta
     pieces.append(sub.Y)
     Y = "".join(pieces)
     seam = len(u) + len(Y) - len(anchor) - len(sub.Y) + sub.seam
-    aligned = sub.tm_aligned and u + Y == anchor + sub.Y
-    return TailCertificate(Y, sub.r, seam, aligned)._checked(u)
+    unlifted = u + Y == anchor + sub.Y
+    cert = TailCertificate(Y, sub.r, seam, sub.tm_aligned and unlifted)
+    # without a stage-one lift the certificate is sub restated for u, and
+    # the tail attachment has already verified exactly that word
+    return cert if unlifted else cert._checked(u)

@@ -13,8 +13,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
-import numpy as np
-
 from . import words
 from .analysis import MARKERS
 from .words import CubeWitness
@@ -58,6 +56,8 @@ def _overlap_scan(w: str) -> bool:
 
 
 def _overlap_vectorised(w: str) -> bool:
+    import numpy as np  # only long overlap scans need it
+
     arr = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
     n = arr.size
     for p in range(1, (n - 1) // 2 + 1):
@@ -174,7 +174,7 @@ def context_tree(u: str, depth: int, *, d: int | None = None, full: bool = False
     every node and additionally records the context words per depth.
     """
     d = words.validate_word(u, d)
-    if words.find_cube(u) is not None:
+    if not naive_is_cube_free(u):
         raise ValueError("context_tree requires a cube-free root")
     alphabet = words.letters_of(d)
     counts: Counter[int] = Counter({0: 1})

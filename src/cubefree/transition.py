@@ -64,6 +64,11 @@ def splice(u: str, u1: str, v: str, v1: str) -> str:
     return w
 
 
+def _require_cube_free(u: str, w: str, v: str) -> None:
+    if not words.is_cube_free(u + w + v):
+        raise RuntimeError(f"internal error: witness {w!r} leaves a cube in ({u!r}, {v!r})")
+
+
 def _direct_right(u: str, v: str, d: int, cap: int) -> TransitionResult | None:
     """Bounded search of u's right-context tree for a context ending with v.
 
@@ -77,7 +82,7 @@ def _direct_right(u: str, v: str, d: int, cap: int) -> TransitionResult | None:
         for ctx in level:
             if ctx.endswith(v):
                 witness = ctx[: len(ctx) - len(v)]
-                assert words.is_cube_free(u + witness + v)
+                _require_cube_free(u, witness, v)
                 return TransitionResult(True, witness, TransitionMethod.DIRECT_CONTEXT)
         nxt = []
         for ctx in level:
@@ -97,9 +102,10 @@ def _direct_left(u: str, v: str, d: int, cap: int) -> TransitionResult | None:
     mirrored = _direct_right(rv, ru, d, cap)
     if mirrored is None or not mirrored.exists:
         return mirrored
-    assert mirrored.witness is not None
+    if mirrored.witness is None:
+        raise RuntimeError(f"internal error: mirrored search found no witness for ({u!r}, {v!r})")
     witness = words.reverse(mirrored.witness)
-    assert words.is_cube_free(u + witness + v)
+    _require_cube_free(u, witness, v)
     return TransitionResult(True, witness, TransitionMethod.DIRECT_CONTEXT)
 
 
@@ -126,14 +132,14 @@ def transition_exists(
         return res
     if not extend.is_right_extendable(u, d).extendable:
         final = _direct_right(u, v, d, cap=10**9)  # finite tree: runs to exhaustion
-        assert final is not None
-        return final
-    if not extend.is_left_extendable(v, d).extendable:
+    elif not extend.is_left_extendable(v, d).extendable:
         final = _direct_left(u, v, d, cap=10**9)
-        assert final is not None
-        return final
-    witness = construct_transition(u, v, d)
-    return TransitionResult(True, witness, TransitionMethod.THEOREM)
+    else:
+        witness = construct_transition(u, v, d)
+        return TransitionResult(True, witness, TransitionMethod.THEOREM)
+    if final is None:
+        raise RuntimeError(f"internal error: finite context tree not exhausted for ({u!r}, {v!r})")
+    return final
 
 
 def construct_transition(u: str, v: str, d: int | None = None) -> str:
@@ -200,7 +206,8 @@ def _force_c_context(U: str, d: int) -> str:
     if not verdict.extendable:
         raise extend.NotExtendableError(U, verdict.max_context_length or 0)
     cert = verdict.certificate
-    assert cert is not None
+    if cert is None:
+        raise RuntimeError(f"internal error: extendable verdict without certificate for {U!r}")
     sample = cert.Y + thue_morse.tm_range(cert.r, cert.r + len(U) + 8)
     preferred = max(1, min(len(U), len(sample)))
     positions = list(range(preferred, len(sample) + 1)) + list(range(preferred - 1, 0, -1))

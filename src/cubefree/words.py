@@ -13,12 +13,7 @@ import string
 from dataclasses import dataclass
 from typing import NamedTuple
 
-import numpy as np
-
 MAX_ALPHABET = 26
-
-# Below this length the plain scanning loop beats numpy dispatch overhead.
-_NUMPY_THRESHOLD = 512
 
 
 @dataclass(frozen=True)
@@ -101,41 +96,54 @@ def reverse(w: str) -> str:
     return w[::-1]
 
 
-def _find_cube_scan(w: str) -> CubeWitness | None:
-    n = len(w)
-    for i in range(n):
-        for p in range(1, (n - i) // 3 + 1):
-            if w[i : i + p] == w[i + p : i + 2 * p] == w[i + 2 * p : i + 3 * p]:
-                return CubeWitness(i + 1, p)
-    return None
-
-
-def _find_cube_vectorised(w: str) -> CubeWitness | None:
-    arr = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
-    n = arr.size
-    best: tuple[int, int] | None = None  # (0-based start, period)
-    for p in range(1, n // 3 + 1):
-        if best is not None and best[0] == 0:
-            break  # nothing can precede position 0, and smaller p was tried first
-        m = arr[p:] == arr[:-p]
-        c = np.cumsum(m)
-        carried = np.maximum.accumulate(np.where(m, 0, c))
-        runs = c - carried  # consecutive matches ending at each offset
-        hits = np.flatnonzero(runs >= 2 * p)
-        if hits.size:
-            start = int(hits[0]) - 2 * p + 1
-            if best is None or start < best[0]:
-                best = (start, p)
-    if best is None:
-        return None
-    return CubeWitness(best[0] + 1, best[1])
+def _back_extension(w: str, i: int, p: int, cap: int) -> int:
+    """Largest b <= cap with w[i-b:i] == w[i+p-b:i+p]: how far the p-periodic
+    stretch through w[i:i+p] reaches left of i.  Galloping then binary
+    search over slice comparisons; cap must not exceed i."""
+    lo, hi = 0, 1  # w[i-lo:i] matches; hi is the next length to try
+    while hi <= cap and w[i - hi : i] == w[i + p - hi : i + p]:
+        lo, hi = hi, 2 * hi
+    hi = min(hi, cap + 1)  # first length known to fail (or past the cap)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if w[i - mid : i] == w[i + p - mid : i + p]:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def find_cube(w: str) -> CubeWitness | None:
-    """Leftmost cube occurrence (ties broken by smallest period), or None."""
-    if len(w) < _NUMPY_THRESHOLD:
-        return _find_cube_scan(w)
-    return _find_cube_vectorised(w)
+    """Leftmost cube occurrence (ties broken by smallest period), or None.
+
+    A cube of period p is a stretch of 2p consecutive positions j with
+    w[j] == w[j+p].  Any such stretch covers a whole aligned block
+    [kp, kp+p), so w[kp:kp+2p] is a square.  For each p only those n/p
+    blocks are compared: O(n log n) slice comparisons over all p, each one
+    done in C.  A
+    square block is extended leftwards by the exact backward extension b;
+    the stretch holds a cube, starting at kp - b, iff it also reaches p - b
+    letters past kp + 2p.  The first aligned square of the leftmost cube's
+    stretch has b < p, and an earlier square whose stretch is shorter than
+    2p cannot also contain the next block, so the first cube met for a
+    given p is the leftmost one of that period.
+    """
+    n = len(w)
+    best, best_p = n, 0  # 0-based start and period of the best cube so far
+    for p in range(1, n // 3 + 1):
+        if best == 0:
+            break  # nothing precedes position 0, and smaller p came first
+        # a cube met at block i starts after i - p: later blocks cannot beat best
+        for i in range(0, min(n - 2 * p, best + p - 2) + 1, p):
+            if w[i : i + p] != w[i + p : i + 2 * p]:
+                continue
+            start = i - _back_extension(w, i, p, min(i, p - 1))
+            end = start + 3 * p
+            if end <= n and w[i + p : start + 2 * p] == w[i + 2 * p : end]:
+                if start < best:
+                    best, best_p = start, p
+                break
+    return CubeWitness(best + 1, best_p) if best_p else None
 
 
 def is_cube_free(w: str) -> bool:

@@ -227,3 +227,24 @@ def test_random_longer_words_certify():
         verdict = is_right_extendable(u, 3)
         assert verdict.extendable and verdict.certificate.verify(u), u
         assert algorithm2(u, 3).verify(u), u
+
+
+def test_algorithm2_on_a_long_binary_word():
+    # the context searches nest through is_right_extendable; they must not
+    # be bounded by the interpreter's recursion limit
+    u = (
+        "abbabbabaababaabbabbabaabbabaababbaabbaabaabbabaababbaabaabbaababaabaabbaa"
+        "bbabbaabbababbabaababaabbaababaababbaabaabbaabbabaabbabaabaabbababbaabbabaab"
+        "abaababbab"
+    )
+    assert len(u) == 160 and words.is_cube_free(u)
+    cert = algorithm2(u, 2)
+    assert cert.verify(u)
+    assert oracle.naive_is_cube_free(u + cert.Y + thue_morse.tm_range(cert.r, cert.r + 200))
+
+
+def test_bounded_context_probe_is_not_recursive():
+    verdict = is_right_extendable("ab", assume_context_bound=1500)
+    assert verdict.extendable and verdict.heuristic
+    with pytest.raises(ValueError):
+        is_right_extendable("ab", assume_context_bound=-1)

@@ -52,6 +52,18 @@ def test_context_tree():
         context_tree("aaa", 3)
 
 
+def test_context_tree_does_not_use_the_fast_detector(monkeypatch):
+    def broken(w):
+        raise AssertionError("the oracle must not call words.find_cube")
+
+    monkeypatch.setattr(words, "find_cube", broken)
+    rep = context_tree("aabaabaa", 10)
+    assert rep.exhausted and rep.max_depth == 0
+    assert context_tree("ab", 4, full=True).alive_at_depth[4] > 0
+    with pytest.raises(ValueError):
+        context_tree("aaa", 3)
+
+
 def test_context_tree_full_mode_counts():
     rep = context_tree("ab", 3, full=True)
     assert rep.alive_at_depth[0] == 1

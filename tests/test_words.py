@@ -1,13 +1,14 @@
+import itertools
+import operator
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cubefree import oracle, words
+from cubefree import oracle, thue_morse, words
 from cubefree.words import (
     Alphabet,
     CubeWitness,
-    _find_cube_scan,
-    _find_cube_vectorised,
     append_check,
     find_cube,
     fine_wilf_period,
@@ -142,22 +143,6 @@ def test_reverse_involution_and_cube_freeness(w):
     assert is_cube_free(w) == is_cube_free(reverse(w))
 
 
-def test_scan_and_vectorised_paths_agree():
-    import random
-
-    rng = random.Random(99)
-    for _ in range(40):
-        n = rng.randint(1, 1200)
-        w = "".join(rng.choice("ab") for _ in range(n))
-        assert _find_cube_scan(w) == _find_cube_vectorised(w)
-    # structured inputs: long cube-free words exercise the no-hit path
-    from cubefree import thue_morse
-
-    t = thue_morse.tm_prefix(2048)
-    assert _find_cube_vectorised(t) is None
-    assert _find_cube_vectorised(t + "bb" + t[:7]) == _find_cube_scan(t + "bb" + t[:7])
-
-
 @settings(max_examples=60)
 @given(st.text(alphabet="abc", max_size=14))
 def test_agrees_with_naive_oracle(w):
@@ -189,3 +174,50 @@ def test_inner_cube_does_not_break_tie_break():
     # the leftmost cube by start position may properly contain a shorter
     # cube that starts later; the tie-break is on start first
     assert find_cube("abbbabbbabbb") == CubeWitness(1, 4)
+
+
+def _reference_leftmost_cube(w):
+    # brute force over every period p: the flags w[j] == w[j+p] for all j,
+    # and a cube of period p starts at their first run of 2p ones
+    found = []
+    for p in range(1, len(w) // 3 + 1):
+        flags = bytes(map(operator.eq, w[:-p], w[p:]))
+        i = flags.find(b"\1" * (2 * p))
+        if i >= 0:
+            found.append((i + 1, p))
+    return min(found, default=None)
+
+
+def _witness(w):
+    found = find_cube(w)
+    return None if found is None else tuple(found)
+
+
+def test_find_cube_matches_reference_on_all_short_words():
+    for letters, max_n in (("ab", 14), ("abc", 8)):
+        for n in range(max_n + 1):
+            for t in itertools.product(letters, repeat=n):
+                w = "".join(t)
+                assert _witness(w) == _reference_leftmost_cube(w), w
+
+
+def test_find_cube_on_long_thue_morse_factors_with_planted_cubes():
+    t = thue_morse.tm_prefix(8192)
+    for n, start, p in ((1024, 5, 1), (1024, 301, 37), (2048, 77, 256), (4096, 1000, 513), (4096, 3, 700)):
+        base = t[start : start + n]
+        assert find_cube(base) is None
+        x = t[start + n : start + n + p]
+        for w in (x * 3 + base, base[:-5] + x * 3 + base[-5:]):
+            found = _witness(w)
+            assert found == _reference_leftmost_cube(w)
+            assert found[1] <= p
+
+
+def test_find_cube_prefers_an_earlier_start_to_a_smaller_period():
+    assert find_cube("babaabaabaaaa") == CubeWitness(2, 3)
+    t = thue_morse.tm_prefix(4096)
+    x = t[100:700]  # period 600, cube at position 2
+    lead = "a" if x[-1] == "b" else "b"  # so the cube cannot shift left
+    w = lead + x * 3 + t[1000:1500] + "aaa"
+    assert find_cube(w) == CubeWitness(2, 600)
+    assert _witness(w) == _reference_leftmost_cube(w)
