@@ -53,19 +53,13 @@ class MarkerFactorization:
     markers: tuple[Marker, ...]
 
 
-def _require_binary(w: str) -> None:
-    for ch in w:
-        if ch not in "ab":
-            raise ValueError(f"binary word over {{a,b}} expected, got letter {ch!r}")
-
-
 def _cc_positions(w: str) -> list[int]:
     return [i + 1 for i in range(len(w) - 1) if w[i] == w[i + 1]]
 
 
 def is_uniform(w: str) -> bool:
     """Parity rule: every aa/bb occurrence starts at a position of one parity."""
-    _require_binary(w)
+    words.validate_word(w, 2)
     return len({i % 2 for i in _cc_positions(w)}) <= 1
 
 
@@ -75,7 +69,7 @@ def is_right_aligned(w: str) -> bool:
     Equivalent to the parity rule with the parity class pinned by the right
     end: every aa/bb occurrence must start an even distance from it.
     """
-    _require_binary(w)
+    words.validate_word(w, 2)
     n = len(w)
     return all((n - i) % 2 == 0 for i in _cc_positions(w))
 
@@ -86,16 +80,16 @@ def non_uniform_witness(w: str) -> Occurrence | None:
     Defined for cube-free input only (the witness list characterises
     non-uniformity just on cube-free words).
     """
-    _require_binary(w)
+    words.validate_word(w, 2)
     if words.find_cube(w) is not None:
         raise ValueError("non_uniform_witness requires a cube-free word")
     found = [(w.find(pat), pat) for pat in NON_UNIFORM_FACTORS]
     found = [(i, pat) for i, pat in found if i != -1]
+    if bool(found) == is_uniform(w):
+        raise RuntimeError(f"internal error: witness factors and parity rule disagree on {w!r}")
     if not found:
-        assert is_uniform(w)
         return None
     i, pat = min(found)
-    assert not is_uniform(w)
     return Occurrence(i + 1, pat)
 
 
@@ -105,7 +99,7 @@ def scan_markers(w: str) -> list[Marker]:
     Raw scan: ababa/babab are reported even where they occur as a prefix or
     suffix (where they do not break uniformity); callers filter by context.
     """
-    _require_binary(w)
+    words.validate_word(w, 2)
     out: list[Marker] = []
     for pat in MARKERS:
         i = w.find(pat)
@@ -118,7 +112,7 @@ def scan_markers(w: str) -> list[Marker]:
 
 def factorize(w: str) -> MarkerFactorization:
     """Split a cube-free word ending with a marker at every marker's last letter."""
-    _require_binary(w)
+    words.validate_word(w, 2)
     if words.find_cube(w) is not None:
         raise ValueError("factorize requires a cube-free word")
     marks = scan_markers(w)
@@ -127,13 +121,15 @@ def factorize(w: str) -> MarkerFactorization:
     for prev, cur in zip(marks, marks[1:]):
         # cube-freeness caps marker overlaps at two letters (two only for
         # an equal marker repeating at distance three, e.g. aabaabaa)
-        assert cur.position >= prev.position + 3
+        if cur.position < prev.position + 3:
+            raise RuntimeError(f"internal error: markers {prev} and {cur} overlap in {w!r}")
     segments = []
     start = 0
     for m in marks:
         segments.append(w[start : m.end])
         start = m.end
-    assert "".join(segments) == w
+    if "".join(segments) != w:
+        raise RuntimeError(f"internal error: segments {segments} do not rebuild {w!r}")
     return MarkerFactorization(w, tuple(segments), tuple(marks))
 
 

@@ -55,8 +55,6 @@ def _cmd_check(args) -> int:
 
 def _cmd_extendable(args) -> int:
     w, d = _parse_word(args.word, args.alphabet)
-    if not words.is_cube_free(w):
-        raise _UsageError(f"{w!r} is not cube-free")
     decide = extend.is_right_extendable if args.side == "right" else extend.is_left_extendable
     verdict = decide(w, d, assume_context_bound=args.assume_context_bound)
     if verdict.extendable:
@@ -65,7 +63,6 @@ def _cmd_extendable(args) -> int:
             _emit(args, payload, [f"yes ({args.side}-extendable, heuristic: no certificate)"])
             return 0
         cert = verdict.certificate
-        assert cert is not None
         base = w if args.side == "right" else words.reverse(w)
         payload = {
             "word": w,
@@ -99,8 +96,6 @@ def _cmd_extendable(args) -> int:
 
 def _cmd_extend(args) -> int:
     w, d = _parse_word(args.word, args.alphabet)
-    if not words.is_cube_free(w):
-        raise _UsageError(f"{w!r} is not cube-free")
     try:
         cert = extend.algorithm2(w, d)
     except extend.NotExtendableError as exc:
@@ -125,14 +120,8 @@ def _cmd_transition(args) -> int:
     u, du = _parse_word(args.u, d)
     v, dv = _parse_word(args.v, d)
     eff = d if d is not None else max(du, dv)
-    if not words.is_cube_free(u):
-        raise _UsageError(f"{u!r} is not cube-free")
-    if not words.is_cube_free(v):
-        raise _UsageError(f"{v!r} is not cube-free")
     result = transition.transition_exists(u, v, eff)
     if result.exists:
-        assert result.witness is not None
-        assert words.is_cube_free(u + result.witness + v)
         payload = {
             "u": u,
             "v": v,

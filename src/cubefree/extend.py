@@ -189,13 +189,40 @@ def _depth_first(
     return None
 
 
-def _right_contexts(s: str, depth: int, alphabet: str = "ab") -> Callable[[str], Iterator[str]]:
-    """Children function for the cube-free right contexts of s, cut at depth."""
+def _breadth_first(
+    root: _Node,
+    children: Callable[[_Node], Iterator[_Node]],
+    goal: Callable[[_Node], _Hit | None],
+) -> _Hit | None:
+    """First non-None goal(node) over the tree below root, in breadth-first
+    order: level by level, children in the order children(node) gives them.
+    Each node is tested as soon as it is made, so a hit ends the walk
+    before the rest of its level is expanded."""
+    hit = goal(root)
+    if hit is not None:
+        return hit
+    level = [root]
+    while level:
+        nxt: list[_Node] = []
+        for node in level:
+            for child in children(node):
+                hit = goal(child)
+                if hit is not None:
+                    return hit
+                nxt.append(child)
+        level = nxt
+    return None
+
+
+def _right_contexts(s: str, depth: int | None, alphabet: str = "ab") -> Callable[[str], Iterator[str]]:
+    """Children function for the cube-free right contexts of s, cut at depth
+    (None: no cut)."""
 
     def children(w: str) -> Iterator[str]:
-        if len(w) < depth:
+        if depth is None or len(w) < depth:
+            base = s + w
             for x in alphabet:
-                if words.append_check(s + w, x, assume_cube_free=True) is None:
+                if words.append_check(base, x, assume_cube_free=True) is None:
                     yield w + x
 
     return children
@@ -243,7 +270,7 @@ def t_extend_uniform(u: str) -> TailCertificate:
     that letter into the tail (positions 7 / 21) or, when the letter heads
     the wrong way, extends by one letter back to alignment first.
     """
-    analysis._require_binary(u)
+    words.validate_word(u, 2)
     if words.find_cube(u) is not None:
         raise ValueError("t_extend_uniform requires a cube-free word")
     if not analysis.is_uniform(u):
@@ -338,7 +365,7 @@ def t_extend_with_uniform_context(u: str, w: str) -> TailCertificate:
 # already built and verified for the same word and context.
 @functools.lru_cache(maxsize=64)
 def _uniform_context_tail(u: str, w: str) -> TailCertificate:
-    analysis._require_binary(u + w)
+    words.validate_word(u + w, 2)
     if not words.is_cube_free(u + w):
         raise ValueError("w must be a right context of u")
     if not analysis.is_uniform(w):
@@ -492,45 +519,33 @@ def is_right_extendable(
     cached = _verdicts.get(key)
     if cached is not None:
         return cached
-    alphabet = words.letters_of(d)
-
-    level = [u]
-    depth = 0
     deepest = 0
-    while level:
-        deepest = max(deepest, depth)
-        nxt: list[str] = []
-        for s in level:
-            hit = _verdicts.get((s, d))
-            if hit is not None:
-                if hit.extendable:
-                    if hit.certificate is None:
-                        raise RuntimeError(f"internal error: cached verdict without certificate for {s!r}")
-                    cert = TailCertificate(
-                        s[len(u) :] + hit.certificate.Y,
-                        hit.certificate.r,
-                        hit.certificate.seam,
-                        hit.certificate.tm_aligned,
-                    )
-                    verdict = ExtendabilityVerdict(True, cert)
-                    _verdicts[key] = verdict
-                    return verdict
-                if hit.max_context_length is not None:
-                    deepest = max(deepest, depth + hit.max_context_length)
-                continue  # known-dead subtree
+    dead: set[str] = set()  # contexts whose subtree a cached verdict closed
+
+    def goal(w: str) -> ExtendabilityVerdict | None:
+        nonlocal deepest
+        deepest = max(deepest, len(w))
+        s = u + w
+        hit = _verdicts.get((s, d))
+        if hit is None:
             cert = _node_certificate(s, d)
-            if cert is not None:
-                _verdicts[(s, d)] = ExtendabilityVerdict(True, cert)
-                full = TailCertificate(s[len(u) :] + cert.Y, cert.r, cert.seam, cert.tm_aligned)
-                verdict = ExtendabilityVerdict(True, full)
-                _verdicts[key] = verdict
-                return verdict
-            for x in alphabet:
-                if words.append_check(s, x, assume_cube_free=True) is None:
-                    nxt.append(s + x)
-        level = nxt
-        depth += 1
-    verdict = ExtendabilityVerdict(False, None, deepest)
+            if cert is None:
+                return None
+            _verdicts[(s, d)] = ExtendabilityVerdict(True, cert)
+        elif not hit.extendable:  # known-dead subtree
+            deepest = max(deepest, len(w) + (hit.max_context_length or 0))
+            dead.add(w)
+            return None
+        elif hit.certificate is None:
+            raise RuntimeError(f"internal error: cached verdict without certificate for {s!r}")
+        else:
+            cert = hit.certificate
+        return ExtendabilityVerdict(True, TailCertificate(w + cert.Y, cert.r, cert.seam, cert.tm_aligned))
+
+    expand = _right_contexts(u, None, words.letters_of(d))
+    verdict = _breadth_first("", lambda w: () if w in dead else expand(w), goal)
+    if verdict is None:
+        verdict = ExtendabilityVerdict(False, None, deepest)
     _verdicts[key] = verdict
     return verdict
 
@@ -558,49 +573,38 @@ def shortest_c_extension(U: str, d: int) -> str:
     """Shortest right context of the form (binary word + c-letter) whose
     append keeps U right extendable; breadth-first and lexicographic, so
     deterministic.  Raises if none exists within half of |U| plus slack."""
-    alphabet = words.letters_of(d)
-    c_letters = alphabet[2:]
-    cap = (len(U) + 1) // 2 + 2
-    level = [""]
-    length = 0
-    while level and length <= cap:
-        for v in level:
-            for c in c_letters:
-                if words.append_check(U + v, c, assume_cube_free=True) is not None:
-                    continue
-                if is_right_extendable(U + v + c, d).extendable:
-                    return v + c
-        nxt = []
-        for v in level:
-            for x in "ab":
-                if words.append_check(U + v, x, assume_cube_free=True) is None:
-                    nxt.append(v + x)
-        level = nxt
-        length += 1
-    raise RuntimeError(f"no extendability-preserving c-letter context found for {U!r}")
+    c_letters = words.letters_of(d)[2:]
+
+    def goal(v: str) -> str | None:
+        for c in c_letters:
+            if words.append_check(U + v, c, assume_cube_free=True) is not None:
+                continue
+            if is_right_extendable(U + v + c, d).extendable:
+                return v + c
+        return None
+
+    found = _breadth_first("", _right_contexts(U, (len(U) + 1) // 2 + 2), goal)
+    if found is None:
+        raise RuntimeError(f"no extendability-preserving c-letter context found for {U!r}")
+    return found
 
 
 def _shortest_marker_extension(base: str) -> str:
     """Shortest nonempty binary context v with base + v ending at a marker
-    and still right extendable over {a,b}."""
-    cap = 2 * len(base) + 30
-    level = [""]
-    length = 0
-    while level and length <= cap:
-        nxt = []
-        for v in level:
-            for x in "ab":
-                if words.append_check(base + v, x, assume_cube_free=True) is not None:
-                    continue
-                cand = v + x
-                word = base + cand
-                if any(word.endswith(m) for m in analysis.MARKERS):
-                    if is_right_extendable(word, 2).extendable:
-                        return cand
-                nxt.append(cand)
-        level = nxt
-        length += 1
-    raise RuntimeError(f"no extendability-preserving marker context found for {base!r}")
+    and still right extendable over {a,b}; raises if none exists within
+    2|base| + 31 letters."""
+
+    def goal(v: str) -> str | None:
+        word = base + v
+        if v and any(word.endswith(m) for m in analysis.MARKERS):
+            if is_right_extendable(word, 2).extendable:
+                return v
+        return None
+
+    found = _breadth_first("", _right_contexts(base, 2 * len(base) + 31), goal)
+    if found is None:
+        raise RuntimeError(f"no extendability-preserving marker context found for {base!r}")
+    return found
 
 
 def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> TailCertificate:

@@ -75,9 +75,7 @@ def is_overlap_free(w: str) -> bool:
     Equivalently no factor of length 2p+1 with period p.  Short words are
     scanned letter by letter; long ones use a vectorised run-length scan.
     """
-    for ch in w:
-        if ch not in "ab":
-            raise ValueError(f"binary word expected, got letter {ch!r}")
+    words.validate_word(w, 2)
     if len(w) < _OVERLAP_NUMPY_THRESHOLD:
         return _overlap_scan(w)
     return _overlap_vectorised(w)
@@ -86,6 +84,29 @@ def is_overlap_free(w: str) -> bool:
 class EnumerationResult(NamedTuple):
     count: int
     words: list[str] | None
+
+
+def _extensions(u: str, ctx: str, alphabet: str) -> Iterator[str]:
+    for x in alphabet:
+        if words.append_check(u + ctx, x, assume_cube_free=True) is None:
+            yield ctx + x
+
+
+def _contexts_in_tree_order(u: str, alphabet: str, max_len: int) -> Iterator[str]:
+    """Cube-free right contexts of u of length <= max_len, the empty one
+    first, depth-first and lexicographic.  A node's children are checked only
+    when the walk reaches them, and the explicit stack bounds the depth by
+    memory, not by the interpreter's recursion limit.  Kept apart from the
+    walkers in extend, so that tests compare two independent routes."""
+    stack = [iter(("",))]
+    while stack:
+        ctx = next(stack[-1], None)
+        if ctx is None:
+            stack.pop()
+            continue
+        yield ctx
+        if len(ctx) < max_len:
+            stack.append(_extensions(u, ctx, alphabet))
 
 
 def enumerate_cube_free(d: int, n: int, *, collect: bool = False, cap: int = 10**6) -> EnumerationResult:
@@ -99,34 +120,21 @@ def enumerate_cube_free(d: int, n: int, *, collect: bool = False, cap: int = 10*
         raise ValueError("length must be non-negative")
     count = 0
     out: list[str] | None = [] if collect else None
-    def rec(w: str) -> None:
-        nonlocal count
+    for w in _contexts_in_tree_order("", alphabet, n):
         if len(w) == n:
             count += 1
             if count > cap:
                 raise ValueError(f"enumeration cap of {cap} words exceeded")
             if out is not None:
                 out.append(w)
-            return
-        for x in alphabet:
-            if words.append_check(w, x, assume_cube_free=True) is None:
-                rec(w + x)
-    rec("")
     return EnumerationResult(count, out)
 
 
 def iter_cube_free(d: int, max_n: int) -> Iterator[str]:
     """All cube-free words of length 1..max_n over d letters, in tree order."""
-    alphabet = words.letters_of(d)
-    def rec(w: str) -> Iterator[str]:
-        if w:
-            yield w
-        if len(w) == max_n:
-            return
-        for x in alphabet:
-            if words.append_check(w, x, assume_cube_free=True) is None:
-                yield from rec(w + x)
-    yield from rec("")
+    walk = _contexts_in_tree_order("", words.letters_of(d), max_n)
+    next(walk)  # the empty word
+    yield from walk
 
 
 def brute_count_cube_free(d: int, n: int) -> int:
@@ -174,6 +182,8 @@ def context_tree(u: str, depth: int, *, d: int | None = None, full: bool = False
     every node and additionally records the context words per depth.
     """
     d = words.validate_word(u, d)
+    if depth < 0:
+        raise ValueError(f"depth must be non-negative, got {depth}")
     if not naive_is_cube_free(u):
         raise ValueError("context_tree requires a cube-free root")
     alphabet = words.letters_of(d)
@@ -198,19 +208,15 @@ def context_tree(u: str, depth: int, *, d: int | None = None, full: bool = False
         return ContextTreeReport(u, depth, exhausted, max_depth, alive, True, per_depth)
 
     deepest = 0
-    def probe(ctx: str) -> bool:
-        nonlocal deepest
+    survived = False
+    for ctx in _contexts_in_tree_order(u, alphabet, depth):
         k = len(ctx)
+        if k:
+            counts[k] += 1
         deepest = max(deepest, k)
         if k == depth:
-            return True
-        for x in alphabet:
-            if words.append_check(u + ctx, x, assume_cube_free=True) is None:
-                counts[k + 1] += 1
-                if probe(ctx + x):
-                    return True
-        return False
-    survived = probe("")
+            survived = True
+            break
     exhausted = not survived
     return ContextTreeReport(
         u, depth, exhausted, depth if survived else deepest, dict(counts), exhausted
@@ -224,9 +230,7 @@ def survives_to(u: str, depth: int, d: int | None = None) -> bool:
 
 def theta_decompose(w: str) -> tuple[str, str, str] | None:
     """A decomposition w = c + theta(u) + d witnessing uniformity, or None."""
-    for ch in w:
-        if ch not in "ab":
-            raise ValueError(f"binary word expected, got letter {ch!r}")
+    words.validate_word(w, 2)
     n = len(w)
     for lc, ld in ((0, 0), (1, 0), (0, 1), (1, 1)):
         if lc + ld > n or (n - lc - ld) % 2:
@@ -251,9 +255,7 @@ def classify_cube(containing: str, witness: CubeWitness) -> str:
     x = containing[pos - 1 : pos - 1 + p]
     if not x or containing[pos - 1 : pos - 1 + 3 * p] != x * 3:
         raise ValueError("witness does not locate a cube in the word")
-    for ch in x:
-        if ch not in "ab":
-            raise ValueError("cube classification is defined for binary words")
+    words.validate_word(x, 2)
     def has_marker(s: str) -> bool:
         return any(m in s for m in MARKERS)
     if has_marker(x):

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import threading
 
+from . import words
+
 _COMPLEMENT = str.maketrans("ab", "ba")
 
 # Recurrence-gap allowances: T is uniformly recurrent, but no explicit gap
@@ -43,12 +45,6 @@ def complement(w: str) -> str:
     return w.translate(_COMPLEMENT)
 
 
-def _require_binary(w: str) -> None:
-    for ch in w:
-        if ch not in "ab":
-            raise ValueError(f"binary word over {{a,b}} expected, got letter {ch!r}")
-
-
 def tm_prefix(n: int) -> str:
     """The length-n prefix of T."""
     if n < 0:
@@ -71,7 +67,7 @@ def is_tm_factor(w: str) -> bool:
     Searching a prefix of length max(64, 8*|w|) suffices: factors of T
     recur with a gap linear in their length, well below this window.
     """
-    _require_binary(w)
+    words.validate_word(w, 2)
     if not w:
         return True
     window = tm_prefix(max(_OCCURRENCE_WINDOW, _FACTOR_WINDOW * len(w)))
@@ -85,7 +81,7 @@ def find_occurrence_after(pattern: str, start: int) -> int:
     raises ValueError, which by uniform recurrence means the pattern is not
     a factor of T at all.
     """
-    _require_binary(pattern)
+    words.validate_word(pattern, 2)
     if start < 1:
         raise ValueError("positions into T start at 1")
     if not pattern:
@@ -96,7 +92,8 @@ def find_occurrence_after(pattern: str, start: int) -> int:
     if idx == -1 or idx + 1 > cap:
         raise ValueError(f"{pattern!r} is not a Thue-Morse factor (searched up to position {cap})")
     i = idx + 1
-    assert tm_range(i, i + len(pattern) - 1) == pattern
+    if tm_range(i, i + len(pattern) - 1) != pattern:
+        raise RuntimeError(f"internal error: T[{i}..] does not start with {pattern!r}")
     return i
 
 
@@ -111,6 +108,7 @@ def splice_pattern(u1: str, v1r: str) -> str:
     i = find_occurrence_after(u1, 1)
     j = find_occurrence_after(v1r, i + len(u1) + 1)
     out = tm_range(i, j + len(v1r) - 1)
-    assert out.startswith(u1) and out.endswith(v1r) and len(out) > len(u1) + len(v1r)
-    assert is_tm_factor(out)
+    spliced = out.startswith(u1) and out.endswith(v1r) and len(out) > len(u1) + len(v1r)
+    if not spliced or not is_tm_factor(out):
+        raise RuntimeError(f"internal error: T[{i}..{j + len(v1r) - 1}] does not splice {u1!r} and {v1r!r}")
     return out

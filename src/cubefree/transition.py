@@ -69,6 +69,9 @@ def _require_cube_free(u: str, w: str, v: str) -> None:
         raise RuntimeError(f"internal error: witness {w!r} leaves a cube in ({u!r}, {v!r})")
 
 
+_ALIVE = object()  # goal result of _direct_right for a node past the cap
+
+
 def _direct_right(u: str, v: str, d: int, cap: int) -> TransitionResult | None:
     """Bounded search of u's right-context tree for a context ending with v.
 
@@ -76,24 +79,20 @@ def _direct_right(u: str, v: str, d: int, cap: int) -> TransitionResult | None:
     the cap (then absence of the suffix is a proof of impossibility);
     None when the tree is still alive at the cap without a witness.
     """
-    alphabet = words.letters_of(d)
-    level = [""]
-    for _ in range(cap + 1):
-        for ctx in level:
-            if ctx.endswith(v):
-                witness = ctx[: len(ctx) - len(v)]
-                _require_cube_free(u, witness, v)
-                return TransitionResult(True, witness, TransitionMethod.DIRECT_CONTEXT)
-        nxt = []
-        for ctx in level:
-            base = u + ctx
-            for x in alphabet:
-                if words.append_check(base, x, assume_cube_free=True) is None:
-                    nxt.append(ctx + x)
-        if not nxt:
-            return TransitionResult(False, None, TransitionMethod.EXHAUSTED)
-        level = nxt
-    return None
+
+    def goal(ctx: str) -> object:
+        if len(ctx) > cap:
+            return _ALIVE
+        if not ctx.endswith(v):
+            return None
+        witness = ctx[: len(ctx) - len(v)]
+        _require_cube_free(u, witness, v)
+        return TransitionResult(True, witness, TransitionMethod.DIRECT_CONTEXT)
+
+    hit = extend._breadth_first("", extend._right_contexts(u, cap + 1, words.letters_of(d)), goal)
+    if hit is None:
+        return TransitionResult(False, None, TransitionMethod.EXHAUSTED)
+    return None if hit is _ALIVE else hit
 
 
 def _direct_left(u: str, v: str, d: int, cap: int) -> TransitionResult | None:

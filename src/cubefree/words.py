@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 MAX_ALPHABET = 26
+_LETTERS = frozenset(string.ascii_lowercase)
 
 
 @dataclass(frozen=True)
@@ -70,7 +71,8 @@ def is_c_letter(letter: str) -> bool:
 
 def infer_alphabet(w: str) -> int:
     """Smallest valid alphabet size containing every letter of w (at least 2)."""
-    top = max((ord(ch) - ord("a") for ch in w), default=-1)
+    letters = set(w)
+    top = ord(max(letters)) - ord("a") if letters else -1
     return max(2, top + 1)
 
 
@@ -79,9 +81,9 @@ def validate_word(w: str, d: int | None = None) -> int:
 
     With d=None the alphabet is inferred from the letters actually used.
     """
-    for ch in w:
-        if not "a" <= ch <= "z":
-            raise ValueError(f"invalid letter {ch!r} in word {w!r}")
+    if not _LETTERS.issuperset(w):
+        bad = next(ch for ch in w if ch not in _LETTERS)
+        raise ValueError(f"invalid letter {bad!r} in word {w!r}")
     need = infer_alphabet(w)
     if d is None:
         return need

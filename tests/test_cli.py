@@ -56,6 +56,9 @@ def test_extendable_no(capsys):
 def test_extendable_rejects_cubes(capsys):
     rc, _, err = run(capsys, "extendable", "right", "aaa")
     assert rc == 2
+    assert err.strip() == "error: 'aaa' contains a cube"
+    rc, _, err = run(capsys, "extendable", "left", "abbb", "--assume-context-bound", "3")
+    assert rc == 2 and "contains a cube" in err
 
 
 def test_extend(capsys):
@@ -77,8 +80,8 @@ def test_extend_ternary(capsys):
 
 
 def test_extend_errors(capsys):
-    rc, _, _ = run(capsys, "extend", "aaa")
-    assert rc == 2
+    rc, _, err = run(capsys, "extend", "aaa")
+    assert rc == 2 and err.strip() == "error: 'aaa' contains a cube"
     rc, out, _ = run(capsys, "extend", "aabaabaa", "--json")
     assert rc == 1
     assert json.loads(out)["exhausted_at"] == 0
@@ -94,8 +97,10 @@ def test_transition(capsys):
     rc, out, _ = run(capsys, "transition", "", "", "--json")
     assert rc == 0 and json.loads(out)["witness"] == ""
 
-    rc, _, _ = run(capsys, "transition", "aaa", "b")
-    assert rc == 2
+    rc, _, err = run(capsys, "transition", "aaa", "b")
+    assert rc == 2 and err.strip() == "error: 'aaa' contains a cube"
+    rc, _, err = run(capsys, "transition", "b", "abbb")
+    assert rc == 2 and err.strip() == "error: 'abbb' contains a cube"
 
 
 def test_transition_negative(capsys):

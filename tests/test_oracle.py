@@ -52,6 +52,55 @@ def test_context_tree():
         context_tree("aaa", 3)
 
 
+def _recursive_probe(u, depth):
+    """The probe mode of context_tree written as a plain recursion."""
+    counts = {0: 1}
+    deepest = 0
+
+    def probe(ctx):
+        nonlocal deepest
+        deepest = max(deepest, len(ctx))
+        if len(ctx) == depth:
+            return True
+        for x in "ab":
+            if naive_is_cube_free(u + ctx + x):
+                counts[len(ctx) + 1] = counts.get(len(ctx) + 1, 0) + 1
+                if probe(ctx + x):
+                    return True
+        return False
+
+    survived = probe("")
+    return not survived, depth if survived else deepest, counts
+
+
+def test_context_tree_probe_matches_the_recursive_walk():
+    for u in [""] + list(oracle.iter_cube_free(2, 8)):
+        for depth in range(13):
+            rep = context_tree(u, depth)
+            assert (rep.exhausted, rep.max_depth, rep.alive_at_depth) == _recursive_probe(u, depth), (u, depth)
+    with pytest.raises(ValueError):
+        context_tree("ab", -1)
+
+
+def test_tree_order_is_lexicographic():
+    for d, max_n in ((2, 10), (3, 6)):
+        brute = sorted(
+            "".join(tup)
+            for n in range(1, max_n + 1)
+            for tup in itertools.product(words.letters_of(d), repeat=n)
+            if naive_is_cube_free("".join(tup))
+        )
+        assert list(oracle.iter_cube_free(d, max_n)) == brute
+        assert enumerate_cube_free(d, max_n, collect=True).words == [w for w in brute if len(w) == max_n]
+
+
+def test_deep_walks_are_not_recursive():
+    assert oracle.survives_to("a", 1500)
+    deep = list(itertools.islice(oracle.iter_cube_free(2, 1500), 1500))
+    assert len(deep) == 1500 and max(map(len, deep)) > 1000
+    assert words.is_cube_free(max(deep, key=len))
+
+
 def test_context_tree_does_not_use_the_fast_detector(monkeypatch):
     def broken(w):
         raise AssertionError("the oracle must not call words.find_cube")

@@ -5,6 +5,8 @@ import pytest
 from cubefree import extend, oracle, thue_morse, words
 from cubefree.transition import (
     TransitionMethod,
+    TransitionResult,
+    _direct_right,
     construct_transition,
     splice,
     transition_dary,
@@ -22,6 +24,45 @@ def _brute_transition(u, v, d, max_len):
             if words.is_cube_free(u + w + v):
                 return w
     return None
+
+
+def _level_by_level_direct_right(u, v, d, cap):
+    """The direct search written as an explicit loop over whole levels: test
+    every context of one length for the suffix v, then build the next level."""
+    alphabet = words.letters_of(d)
+    level = [""]
+    for _ in range(cap + 1):
+        for ctx in level:
+            if ctx.endswith(v):
+                return TransitionResult(True, ctx[: len(ctx) - len(v)], TransitionMethod.DIRECT_CONTEXT)
+        nxt = [
+            ctx + x
+            for ctx in level
+            for x in alphabet
+            if words.append_check(u + ctx, x, assume_cube_free=True) is None
+        ]
+        if not nxt:
+            return TransitionResult(False, None, TransitionMethod.EXHAUSTED)
+        level = nxt
+    return None
+
+
+def test_direct_right_matches_the_level_by_level_search():
+    short = [""] + list(oracle.iter_cube_free(2, 6))
+    for u in short + [DEAD, thue_morse.complement(DEAD)]:
+        for v in short:
+            for cap in range(9):
+                assert _direct_right(u, v, 2, cap) == _level_by_level_direct_right(u, v, 2, cap), (u, v, cap)
+
+
+def test_direct_right_ignores_a_witness_just_past_the_cap():
+    # the shortest context of "aaba" ending with "aab" is "baab", one past cap 3
+    assert _level_by_level_direct_right("aaba", "aab", 2, 4).witness == "b"
+    assert _direct_right("aaba", "aab", 2, 4).witness == "b"
+    assert _direct_right("aaba", "aab", 2, 3) is None
+    assert _direct_right("", "a", 2, 0) is None
+    assert _direct_right("", "a", 2, 1).witness == ""
+    assert _direct_right(DEAD, "ab", 2, 10).method is TransitionMethod.EXHAUSTED
 
 
 def test_splice_trivial():
