@@ -55,15 +55,13 @@ def _cmd_check(args) -> int:
 
 def _cmd_extendable(args) -> int:
     w, d = _parse_word(args.word, args.alphabet)
+    base = w if args.side == "right" else words.reverse(w)
+    if args.assume_context_bound is not None:
+        return _probe_extendable(args, w, base, d)
     decide = extend.is_right_extendable if args.side == "right" else extend.is_left_extendable
-    verdict = decide(w, d, assume_context_bound=args.assume_context_bound)
+    verdict = decide(w, d)
     if verdict.extendable:
-        if verdict.heuristic:
-            payload = {"word": w, "side": args.side, "extendable": True, "heuristic": True}
-            _emit(args, payload, [f"yes ({args.side}-extendable, heuristic: no certificate)"])
-            return 0
         cert = verdict.certificate
-        base = w if args.side == "right" else words.reverse(w)
         payload = {
             "word": w,
             "side": args.side,
@@ -80,17 +78,26 @@ def _cmd_extendable(args) -> int:
             [f"yes ({args.side}-extendable)", json.dumps({"Y": cert.Y, "r": cert.r}, sort_keys=True)],
         )
         return 0
-    payload = {
-        "word": w,
-        "side": args.side,
-        "extendable": False,
-        "exhausted_at": verdict.max_context_length,
-    }
-    _emit(
-        args,
-        payload,
-        ["no", json.dumps({"exhausted_at": verdict.max_context_length}, sort_keys=True)],
-    )
+    return _emit_not_extendable(args, w, verdict.max_context_length)
+
+
+def _probe_extendable(args, w: str, base: str, d: int) -> int:
+    """--assume-context-bound B: the oracle's survival probe, which counts
+    any context of length B as a yes (no certificate); exhaustion below B
+    is still an exact no."""
+    if not words.is_cube_free(w):
+        raise _UsageError(f"{w!r} contains a cube")
+    report = oracle.context_tree(base, args.assume_context_bound, d=d)
+    if report.exhausted:
+        return _emit_not_extendable(args, w, report.max_depth)
+    payload = {"word": w, "side": args.side, "extendable": True, "heuristic": True}
+    _emit(args, payload, [f"yes ({args.side}-extendable, heuristic: no certificate)"])
+    return 0
+
+
+def _emit_not_extendable(args, w: str, exhausted_at: int | None) -> int:
+    payload = {"word": w, "side": args.side, "extendable": False, "exhausted_at": exhausted_at}
+    _emit(args, payload, ["no", json.dumps({"exhausted_at": exhausted_at}, sort_keys=True)])
     return 1
 
 
@@ -252,7 +259,7 @@ def _cmd_verify(args) -> int:
             cert = extend.TailCertificate(
                 data["Y"], int(data["r"]), seam, bool(data.get("tm_aligned", False))
             )
-            ok = words.is_cube_free(base) and cert.verify(base)
+            ok = cert.verify(base)  # scans base + Y + T[r..], which starts with base
             payload = {"valid": bool(ok), "kind": "tail", **data}
         else:
             raise _UsageError('certificate must carry {"word","Y","r"} or {"u","v","witness"}')

@@ -110,7 +110,6 @@ class ExtendabilityVerdict:
     extendable: bool
     certificate: TailCertificate | None = None
     max_context_length: int | None = None
-    heuristic: bool = False
 
 
 # Decision results and failed certificate probes, keyed by (word, alphabet
@@ -234,29 +233,27 @@ def _has_cf_context(u: str, k: int) -> bool:
     return reached is not None
 
 
-def _tail_starts(tail: str, *, prefer_tm: bool) -> list[int]:
-    """Candidate T-positions r making tail + T[r..] cube-free.
+def _tail_start(tail: str, *, prefer_tm: bool) -> int:
+    """T-position r making tail + T[r..] cube-free; 0 (no position, which
+    verify rejects) when the construction has no candidate.
 
     A tail that occurs in T continues it in place (the certified word then
     rides a genuine suffix of T); otherwise the choice is driven by the
-    last two-letter block of the right-aligned tail, testing the short
-    probes that decide between the two viable splice points of T.
+    last two-letter block of the right-aligned tail: the first of two short
+    probes that extends it cube-freely picks one of the two viable splice
+    points of T.
     """
-    cands: list[int] = []
     if prefer_tm and thue_morse.is_tm_factor(tail):
-        i = thue_morse.find_occurrence_after(tail, 1)
-        cands.append(i + len(tail))
-    if len(tail) >= 2 and tail[-2:] in ("ab", "ba"):
-        if tail[-2:] == "ab":
-            probes = (("aa", 6), ("babb", 20))
-        else:
-            # letter-exchanged case: T[22..] and T[4..] open with the
-            # complements of what T[6..] and T[20..] open with
-            probes = (("bb", 22), ("abaa", 4))
-        for probe, r in probes:
-            if words.extension_is_cube_free(tail, probe):
-                cands.append(r)
-    return cands
+        return thue_morse.find_occurrence_after(tail, 1) + len(tail)
+    if tail[-2:] == "ab":
+        probes = (("aa", 6), ("babb", 20))
+    elif tail[-2:] == "ba":
+        # letter-exchanged case: T[22..] and T[4..] open with the
+        # complements of what T[6..] and T[20..] open with
+        probes = (("bb", 22), ("abaa", 4))
+    else:
+        return 0
+    return next((r for probe, r in probes if words.extension_is_cube_free(tail, probe)), 0)
 
 
 def t_extend_uniform(u: str) -> TailCertificate:
@@ -281,39 +278,31 @@ def t_extend_uniform(u: str) -> TailCertificate:
 
     n = len(u)
     if thue_morse.tm_prefix(n) == u:
-        return TailCertificate("", n + 1, 0, tm_aligned=True)._checked(u)
-
-    if right_aligned and n >= 2:
-        for r in _tail_starts(u, prefer_tm=False):
-            cert = TailCertificate("", r, 0)
-            if cert.verify(u):
-                return cert
-        raise RuntimeError(f"no tail start verified for right-aligned {u!r}")
-
-    if n >= 3 and analysis.is_right_aligned(u[:-1]):
+        cert = TailCertificate("", n + 1, 0, tm_aligned=True)
+    elif right_aligned and n >= 2:
+        cert = TailCertificate("", _tail_start(u, prefer_tm=False), 0)
+    elif n >= 3 and analysis.is_right_aligned(u[:-1]):
         last = u[-1]
         block = u[-3:-1]  # last complete block of the aligned core u[:-1]
         if last == "a" and block == "ab":
             # the trailing letter is absorbed by the tail: a + T[7..] = T[6..]
-            return TailCertificate("", 7, 0)._checked(u)
-        if last == "b" and block == "ba":
+            cert = TailCertificate("", 7, 0)
+        elif last == "b" and block == "ba":
             # mirror absorption: b + T[23..] = T[22..]
-            return TailCertificate("", 23, 0)._checked(u)
-        # the trailing letter breaks alignment the wrong way: one more
-        # letter restores alignment (the alternative letter cubes out)
-        step = "b" if last == "a" else "a"
-        if not words.extension_is_cube_free(u, step):
-            raise RuntimeError(f"alignment step letter {step!r} is blocked for {u!r}")
-        for r in _tail_starts(u + step, prefer_tm=False):
-            cert = TailCertificate(step, r, 0)
-            if cert.verify(u):
-                return cert
-        raise RuntimeError(f"no tail start verified for offset word {u!r}")
-
-    # tiny leftovers ("b", "aa", "bb"): every short uniform cube-free word
-    # occurs in T, so continue T from its first occurrence
-    i = thue_morse.find_occurrence_after(u, 1)
-    return TailCertificate("", i + n, 0, tm_aligned=True)._checked(u)
+            cert = TailCertificate("", 23, 0)
+        else:
+            # the trailing letter breaks alignment the wrong way: one more
+            # letter restores alignment (the alternative letter cubes out)
+            step = "b" if last == "a" else "a"
+            if not words.extension_is_cube_free(u, step):
+                raise RuntimeError(f"alignment step letter {step!r} is blocked for {u!r}")
+            cert = TailCertificate(step, _tail_start(u + step, prefer_tm=False), 0)
+    else:
+        # tiny leftovers ("b", "aa", "bb"): every short uniform cube-free
+        # word occurs in T, so continue T from its first occurrence
+        i = thue_morse.find_occurrence_after(u, 1)
+        cert = TailCertificate("", i + n, 0, tm_aligned=True)
+    return cert._checked(u)
 
 
 class _ConstructionMiss(Exception):
@@ -339,11 +328,10 @@ def _attach_tail(u: str, consumed: str, remainder: str) -> TailCertificate:
     tail = s[split:]
     if not analysis.is_right_aligned(tail) or len(tail) < 2 * split:
         raise _ConstructionMiss("re-split tail is not a long right-aligned context")
-    for r in _tail_starts(tail, prefer_tm=True):
-        cert = TailCertificate(consumed, r, split)
-        if cert.verify(u):
-            return cert
-    raise _ConstructionMiss("no tail start verified at the marker re-split")
+    cert = TailCertificate(consumed, _tail_start(tail, prefer_tm=True), split)
+    if not cert.verify(u):
+        raise _ConstructionMiss("the tail start at the marker re-split fails verification")
+    return cert
 
 
 def t_extend_with_uniform_context(u: str, w: str) -> TailCertificate:
@@ -478,26 +466,16 @@ def _node_certificate(s: str, d: int) -> TailCertificate | None:
     return TailCertificate(w + cert2.Y, cert2.r, seam, tm_aligned=False)._checked(s)
 
 
-def _bounded_context_probe(u: str, d: int, bound: int) -> ExtendabilityVerdict:
-    """Fast heuristic decision: any context of the given length counts as a
-    yes (no certificate); exhaustion below it is still an exact no."""
-    if bound < 0:
-        raise ValueError(f"context bound must be non-negative, got {bound}")
-    deepest = 0
-
-    def goal(w: str) -> bool | None:
-        nonlocal deepest
-        deepest = max(deepest, len(w))
-        return True if len(w) == bound else None
-
-    if _depth_first("", _right_contexts(u, bound, words.letters_of(d)), goal):
-        return ExtendabilityVerdict(True, None, None, heuristic=True)
-    return ExtendabilityVerdict(False, None, deepest)
+def _cube_free_word(u: str, d: int | None) -> int:
+    """Validate u over the alphabet of size d and reject a cube in it;
+    return the effective alphabet size."""
+    d = words.validate_word(u, d)
+    if words.find_cube(u) is not None:
+        raise ValueError(f"{u!r} contains a cube")
+    return d
 
 
-def is_right_extendable(
-    u: str, d: int | None = None, *, assume_context_bound: int | None = None
-) -> ExtendabilityVerdict:
+def is_right_extendable(u: str, d: int | None = None) -> ExtendabilityVerdict:
     """Decide whether u has an infinite cube-free right context.
 
     Breadth-first walk of the right-context tree, attempting a certificate
@@ -505,16 +483,11 @@ def is_right_extendable(
     and exhaustion depths reproducible.  Yes-verdicts carry a verified
     TailCertificate; No-verdicts report the maximal context length of the
     exhausted tree.  Verdicts are memoized per (word, alphabet size).
-
-    assume_context_bound switches on a heuristic shortcut: reaching any
-    context of that length counts as a yes without a certificate.  Only
-    non-heuristic verdicts are cached.
     """
-    d = words.validate_word(u, d)
-    if words.find_cube(u) is not None:
-        raise ValueError(f"{u!r} contains a cube")
-    if assume_context_bound is not None:
-        return _bounded_context_probe(u, d, assume_context_bound)
+    return _decide_right(u, _cube_free_word(u, d))
+
+
+def _decide_right(u: str, d: int) -> ExtendabilityVerdict:
     key = (u, d)
     cached = _verdicts.get(key)
     if cached is not None:
@@ -550,16 +523,14 @@ def is_right_extendable(
     return verdict
 
 
-def is_left_extendable(
-    u: str, d: int | None = None, *, assume_context_bound: int | None = None
-) -> ExtendabilityVerdict:
+def is_left_extendable(u: str, d: int | None = None) -> ExtendabilityVerdict:
     """Extendability to the left: the mirror decision on the reversed word.
 
     Cube-freeness is reversal-invariant, so the verdict is exact; a Yes
     certificate describes the reversed word growing rightward, i.e. the
     original word extended leftward by the reversal of that growth.
     """
-    return is_right_extendable(words.reverse(u), d, assume_context_bound=assume_context_bound)
+    return _decide_right(words.reverse(u), _cube_free_word(u, d))
 
 
 def _require_extendable(u: str, d: int) -> ExtendabilityVerdict:
@@ -620,10 +591,8 @@ def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> Ta
     ababa/babab prefix that preserves extendability.  The final tail start
     comes from the uniform-context construction.
     """
-    d = words.validate_word(u, d)
-    if words.find_cube(u) is not None:
-        raise ValueError(f"{u!r} contains a cube")
-    _require_extendable(u, d)
+    d = _cube_free_word(u, d)
+    verdict = _require_extendable(u, d)
     if stats is not None:
         stats.setdefault("stage1_iterations", 0)
         stats.setdefault("stage2_iterations", 0)
@@ -673,5 +642,6 @@ def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> Ta
     unlifted = u + Y == anchor + sub.Y
     cert = TailCertificate(Y, sub.r, seam, sub.tm_aligned and unlifted)
     # without a stage-one lift the certificate is sub restated for u, and
-    # the tail attachment has already verified exactly that word
-    return cert if unlifted else cert._checked(u)
+    # the tail attachment has already verified exactly that word; a lifted
+    # one equal to the extendability verdict's was verified with the verdict
+    return cert if unlifted or cert == verdict.certificate else cert._checked(u)

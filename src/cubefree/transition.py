@@ -41,6 +41,13 @@ def _validated_pair(u: str, v: str, d: int | None) -> int:
     return d
 
 
+def _require_cube_free(u: str, w: str, v: str) -> str:
+    """The one witness check: w, once u + w + v is verified cube-free."""
+    if not words.is_cube_free(u + w + v):
+        raise RuntimeError(f"internal error: witness {w!r} leaves a cube in ({u!r}, {v!r})")
+    return w
+
+
 def splice(u: str, u1: str, v: str, v1: str) -> str:
     """Transition from u to reverse(v) given Thue-Morse right contexts.
 
@@ -57,16 +64,7 @@ def splice(u: str, u1: str, v: str, v1: str) -> str:
             raise ValueError(f"context of {name} is not a Thue-Morse factor")
         if not words.is_cube_free(word + ctx):
             raise ValueError(f"context of {name} is not a right context")
-    w = thue_morse.splice_pattern(u1, words.reverse(v1))
-    result = u + w + words.reverse(v)
-    if not words.is_cube_free(result):
-        raise RuntimeError(f"internal error: spliced word {w!r} fails for ({u!r}, {v!r})")
-    return w
-
-
-def _require_cube_free(u: str, w: str, v: str) -> None:
-    if not words.is_cube_free(u + w + v):
-        raise RuntimeError(f"internal error: witness {w!r} leaves a cube in ({u!r}, {v!r})")
+    return _require_cube_free(u, thue_morse.splice_pattern(u1, words.reverse(v1)), words.reverse(v))
 
 
 _ALIVE = object()  # goal result of _direct_right for a node past the cap
@@ -85,8 +83,7 @@ def _direct_right(u: str, v: str, d: int, cap: int) -> TransitionResult | None:
             return _ALIVE
         if not ctx.endswith(v):
             return None
-        witness = ctx[: len(ctx) - len(v)]
-        _require_cube_free(u, witness, v)
+        witness = _require_cube_free(u, ctx[: len(ctx) - len(v)], v)
         return TransitionResult(True, witness, TransitionMethod.DIRECT_CONTEXT)
 
     hit = extend._breadth_first("", extend._right_contexts(u, cap + 1, words.letters_of(d)), goal)
@@ -96,16 +93,13 @@ def _direct_right(u: str, v: str, d: int, cap: int) -> TransitionResult | None:
 
 
 def _direct_left(u: str, v: str, d: int, cap: int) -> TransitionResult | None:
-    """Dual bounded search: left contexts of v beginning with u."""
-    ru, rv = words.reverse(u), words.reverse(v)
-    mirrored = _direct_right(rv, ru, d, cap)
+    """Dual bounded search: left contexts of v beginning with u.  The mirrored
+    search has verified the reversal of the witness, and cube-freeness is
+    reversal-invariant."""
+    mirrored = _direct_right(words.reverse(v), words.reverse(u), d, cap)
     if mirrored is None or not mirrored.exists:
         return mirrored
-    if mirrored.witness is None:
-        raise RuntimeError(f"internal error: mirrored search found no witness for ({u!r}, {v!r})")
-    witness = words.reverse(mirrored.witness)
-    _require_cube_free(u, witness, v)
-    return TransitionResult(True, witness, TransitionMethod.DIRECT_CONTEXT)
+    return TransitionResult(True, words.reverse(mirrored.witness), TransitionMethod.DIRECT_CONTEXT)
 
 
 def transition_exists(
@@ -159,10 +153,7 @@ def construct_transition(u: str, v: str, d: int | None = None) -> str:
     u1 = thue_morse.tm_range(c1.r, c1.r + 2 * p_len - 1) if p_len else ""
     v1 = thue_morse.tm_range(c2.r, c2.r + 2 * q_len - 1) if q_len else ""
     mid = thue_morse.splice_pattern(u1, words.reverse(v1))
-    w = c1.Y + mid + words.reverse(c2.Y)
-    if not words.is_cube_free(u + w + v):
-        raise RuntimeError(f"internal error: constructed transition fails for ({u!r}, {v!r})")
-    return w
+    return _require_cube_free(u, c1.Y + mid + words.reverse(c2.Y), v)
 
 
 def _right_anchor(s: str, d: int) -> tuple[str, str]:
@@ -235,7 +226,4 @@ def transition_dary(u: str, v: str, d: int | None = None) -> str:
     y = words.reverse(y_rev)
     v1 = words.reverse(v1_rev)
     w1 = construct_transition(u1, v1, 2)
-    w = x + u1 + w1 + v1 + y
-    if not words.is_cube_free(u + w + v):
-        raise RuntimeError(f"internal error: d-ary transition fails for ({u!r}, {v!r})")
-    return w
+    return _require_cube_free(u, x + u1 + w1 + v1 + y, v)

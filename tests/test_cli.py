@@ -57,8 +57,20 @@ def test_extendable_rejects_cubes(capsys):
     rc, _, err = run(capsys, "extendable", "right", "aaa")
     assert rc == 2
     assert err.strip() == "error: 'aaa' contains a cube"
+    rc, _, err = run(capsys, "extendable", "left", "abbb")
+    assert rc == 2 and err == "error: 'abbb' contains a cube"
     rc, _, err = run(capsys, "extendable", "left", "abbb", "--assume-context-bound", "3")
-    assert rc == 2 and "contains a cube" in err
+    assert rc == 2 and err == "error: 'abbb' contains a cube"
+
+
+def test_extendable_context_bound(capsys):
+    rc, out, _ = run(capsys, "extendable", "right", "ab", "--assume-context-bound", "5")
+    assert rc == 0 and out == "yes (right-extendable, heuristic: no certificate)"
+    # the probe walks with an explicit stack, so a deep bound does not recurse
+    rc, out, _ = run(capsys, "extendable", "right", "ab", "--assume-context-bound", "1500", "--json")
+    assert rc == 0 and json.loads(out)["heuristic"] is True
+    rc, _, err = run(capsys, "extendable", "right", "ab", "--assume-context-bound", "-1")
+    assert rc == 2 and err.startswith("error: ")
 
 
 def test_extend(capsys):
@@ -178,6 +190,17 @@ def test_verify_round_trip(capsys):
 
     rc, _, _ = run(capsys, "verify", "not json {")
     assert rc == 2
+
+
+def test_verify_scans_a_tail_certificate_once(capsys, monkeypatch):
+    rc, out, _ = run(capsys, "extend", "abbabaab", "--json")
+    assert rc == 0
+    scans = []
+    find_cube = words.find_cube
+    monkeypatch.setattr(words, "find_cube", lambda w: scans.append(w) or find_cube(w))
+    rc, out2, _ = run(capsys, "verify", out)
+    assert rc == 0 and out2 == "valid"
+    assert len(scans) == 1
 
 
 def test_json_output_is_deterministic(capsys):

@@ -135,8 +135,9 @@ def test_no_verdict_reports_tree_depth():
 
 
 def test_heuristic_context_bound():
-    verdict = is_right_extendable("ab", assume_context_bound=5)
-    assert verdict.extendable and verdict.heuristic and verdict.certificate is None
+    # the --assume-context-bound heuristic is the probe mode of context_tree
+    report = oracle.context_tree("ab", 5)
+    assert not report.exhausted and report.max_depth == 5
 
 
 def test_algorithm2_binary_examples():
@@ -244,7 +245,28 @@ def test_algorithm2_on_a_long_binary_word():
 
 
 def test_bounded_context_probe_is_not_recursive():
-    verdict = is_right_extendable("ab", assume_context_bound=1500)
-    assert verdict.extendable and verdict.heuristic
+    # the probe walks with an explicit stack, so a deep bound does not recurse
+    report = oracle.context_tree("ab", 1500)
+    assert not report.exhausted and report.max_depth == 1500
     with pytest.raises(ValueError):
-        is_right_extendable("ab", assume_context_bound=-1)
+        oracle.context_tree("ab", -1)
+
+
+def test_algorithm2_does_not_reverify_the_verdict_certificate(monkeypatch):
+    # the extendability decision verifies its certificate; when the lifted
+    # certificate is that same one, algorithm2 does not check it again
+    checked = []
+    verify = TailCertificate.verify
+    monkeypatch.setattr(TailCertificate, "verify", lambda self, base: checked.append(base) or verify(self, base))
+    for u, d in (("abc", 3), ("cabac", 3), ("abcdabc", 4)):
+        extend.clear_caches()
+        assert is_right_extendable(u, d).extendable
+        checked.clear()
+        cert = algorithm2(u, d)
+        assert u not in checked, (u, d)
+        assert verify(cert, u)
+
+
+def test_left_extendability_names_the_given_word():
+    with pytest.raises(ValueError, match="^'abbb' contains a cube$"):
+        is_left_extendable("abbb")
