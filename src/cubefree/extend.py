@@ -345,17 +345,17 @@ def t_extend_with_uniform_context(u: str, w: str) -> TailCertificate:
     re-split at its rightmost marker, whose trailing part is a long
     right-aligned word that a T-tail continues.
     """
-    return _uniform_context_tail(u, w)
-
-
-# The construction is a pure function of (u, w).  Remembering recent results
-# lets algorithm2 reuse the certificate that its extendability decision has
-# already built and verified for the same word and context.
-@functools.lru_cache(maxsize=64)
-def _uniform_context_tail(u: str, w: str) -> TailCertificate:
     words.validate_word(u + w, 2)
     if not words.is_cube_free(u + w):
         raise ValueError("w must be a right context of u")
+    return _uniform_context_tail(u, w)
+
+
+# The construction is a pure function of (u, w), binary and cube-free by the
+# callers' append_check walks.  Remembering recent results lets algorithm2
+# reuse the certificate its extendability decision has already verified.
+@functools.lru_cache(maxsize=64)
+def _uniform_context_tail(u: str, w: str) -> TailCertificate:
     if not analysis.is_uniform(w):
         raise ValueError("w must be uniform")
     if len(w) < 2 * len(u) + 3:
@@ -448,7 +448,7 @@ def _node_certificate(s: str, d: int) -> TailCertificate | None:
         if q is None:
             _no_uniform_context.add(s)
             return None
-        return t_extend_with_uniform_context(s, q)
+        return _uniform_context_tail(s, q)
     if (s, d) in _no_binary_reduction:
         return None
     s2 = _binary_suffix(s)
@@ -534,7 +534,7 @@ def is_left_extendable(u: str, d: int | None = None) -> ExtendabilityVerdict:
 
 
 def _require_extendable(u: str, d: int) -> ExtendabilityVerdict:
-    verdict = is_right_extendable(u, d)
+    verdict = _decide_right(u, d)
     if not verdict.extendable:
         raise NotExtendableError(u, verdict.max_context_length or 0)
     return verdict
@@ -603,7 +603,7 @@ def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> Ta
     anchor = u  # the binary word whose contexts lift to the full prefix
 
     run_stage1 = d >= 3 and (
-        any(words.is_c_letter(ch) for ch in u) or not is_right_extendable(u, 2).extendable
+        any(words.is_c_letter(ch) for ch in u) or not _decide_right(u, 2).extendable
     )
     if run_stage1:
         for _ in range(iteration_cap):
@@ -635,7 +635,7 @@ def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> Ta
     else:
         raise RuntimeError(f"stage-two iteration cap exceeded for {u!r}")
 
-    sub = t_extend_with_uniform_context(anchor, q)
+    sub = _uniform_context_tail(anchor, q)
     pieces.append(sub.Y)
     Y = "".join(pieces)
     seam = len(u) + len(Y) - len(anchor) - len(sub.Y) + sub.seam

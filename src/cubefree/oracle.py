@@ -1,7 +1,7 @@
 """Brute-force reference implementations for cross-validation.
 
-Everything here is deliberately naive and shares no scanning code with
-the optimized paths: cube detection compares letters one by one, the
+Everything here shares no scanning code with the optimized paths: cube
+detection compares letters one by one, overlaps are found bit-parallel,
 Thue-Morse letters come from the parity formula instead of the morphism,
 and uniformity is decided by trying all decompositions.  The acceptance
 suite leans on agreement between the two routes.
@@ -21,8 +21,6 @@ CUBE_MINI = "mini"
 CUBE_MIDI = "midi"
 CUBE_MAXI = "maxi"
 CUBE_UNIFORM = "uniform-cube"  # no marker even in x^3; outside the mini/midi/maxi trichotomy
-
-_OVERLAP_NUMPY_THRESHOLD = 2048
 
 
 def naive_is_cube_free(w: str) -> bool:
@@ -47,6 +45,7 @@ def tm_prefix_by_parity(n: int) -> str:
 
 
 def _overlap_scan(w: str) -> bool:
+    """Letter-by-letter reference for is_overlap_free, kept for the tests."""
     n = len(w)
     for i in range(n):
         for p in range(1, (n - i - 1) // 2 + 1):
@@ -55,30 +54,26 @@ def _overlap_scan(w: str) -> bool:
     return True
 
 
-def _overlap_vectorised(w: str) -> bool:
-    import numpy as np  # only long overlap scans need it
-
-    arr = np.frombuffer(w.encode("ascii"), dtype=np.uint8)
-    n = arr.size
-    for p in range(1, (n - 1) // 2 + 1):
-        m = arr[p:] == arr[:-p]
-        c = np.cumsum(m)
-        carried = np.maximum.accumulate(np.where(m, 0, c))
-        if int((c - carried).max(initial=0)) >= p + 1:
-            return False
-    return True
-
-
 def is_overlap_free(w: str) -> bool:
     """No factor of the form c + x + c + x + c (a letter c, any x).
 
-    Equivalently no factor of length 2p+1 with period p.  Short words are
-    scanned letter by letter; long ones use a vectorised run-length scan.
+    Equivalently no run of p+1 positions i with w[i] == w[i+p].  With the
+    a-positions as one int, a period costs one XOR for all its matches and
+    O(log p) shift-and-AND steps, each doubling the run a set bit vouches for.
     """
     words.validate_word(w, 2)
-    if len(w) < _OVERLAP_NUMPY_THRESHOLD:
-        return _overlap_scan(w)
-    return _overlap_vectorised(w)
+    n = len(w)
+    x = int(w[::-1].translate(str.maketrans("ab", "10")) or "0", 2)
+    for p in range(1, (n - 1) // 2 + 1):
+        run = ~(x ^ (x >> p)) & ((1 << (n - p)) - 1)
+        length = 1
+        while run and length <= p:
+            step = min(length, p + 1 - length)
+            run &= run >> step
+            length += step
+        if run:
+            return False
+    return True
 
 
 class EnumerationResult(NamedTuple):

@@ -83,6 +83,8 @@ def test_t_extend_with_uniform_context_examples():
         t_extend_with_uniform_context("ab", "abba")  # too short
     with pytest.raises(ValueError):
         t_extend_with_uniform_context("b", "aabaabb")  # not uniform
+    with pytest.raises(ValueError, match="^w must be a right context of u$"):
+        t_extend_with_uniform_context("aa", "abbabaab")  # aaa
 
 
 def test_certificate_verify_rejects_tampering():
@@ -265,6 +267,17 @@ def test_algorithm2_does_not_reverify_the_verdict_certificate(monkeypatch):
         cert = algorithm2(u, d)
         assert u not in checked, (u, d)
         assert verify(cert, u)
+
+
+def test_algorithm2_scans_its_input_for_a_cube_once(monkeypatch):
+    scanned = []
+    find_cube = words.find_cube
+    monkeypatch.setattr(words, "find_cube", lambda w: scanned.append(w) or find_cube(w))
+    for u, d in (("abbabaabbaab", 2), ("abcabacb", 3)):
+        extend.clear_caches()
+        scanned.clear()
+        algorithm2(u, d)
+        assert scanned.count(u) == 1, (u, d)
 
 
 def test_left_extendability_names_the_given_word():

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import pytest
 
@@ -153,14 +154,23 @@ def test_is_overlap_free():
 def test_overlap_scan_paths_agree():
     import random
 
+    for n in range(15):
+        for tup in itertools.product("ab", repeat=n):
+            w = "".join(tup)
+            assert is_overlap_free(w) == oracle._overlap_scan(w), w
     rng = random.Random(5)
-    for _ in range(40):
+    for _ in range(3000):
         n = rng.randint(2, 120)
         w = "".join(rng.choice("ab") for _ in range(n))
-        assert oracle._overlap_scan(w) == oracle._overlap_vectorised(w), w
+        assert is_overlap_free(w) == oracle._overlap_scan(w), w
     t = thue_morse.tm_prefix(3000)
-    assert oracle._overlap_vectorised(t)  # clean word, no early exit
-    assert not oracle._overlap_vectorised(t[:1500] + "aaa" + t[:100])
+    assert is_overlap_free(t)  # clean word, no early exit
+    assert not is_overlap_free(t[:1500] + "aaa" + t[:100])
+
+
+def test_overlap_check_needs_no_numpy(monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # import numpy now fails
+    assert is_overlap_free(thue_morse.tm_prefix(65536))
 
 
 def test_classify_cube_reference_roots():

@@ -137,6 +137,14 @@ def test_transition_with_dead_endpoint():
     assert r.exists == (_brute_transition("b", DEAD, 2, 12) is not None)
 
 
+def test_a_binary_pair_is_decided_over_the_alphabet_asked_for():
+    # bbabbabb has no right context over {a, b}; a c-letter gives it one
+    r = transition_exists("bbabbabb", "baabbaab")
+    assert not r.exists and r.method is TransitionMethod.EXHAUSTED
+    r = transition_exists("bbabbabb", "baabbaab", d=3)
+    assert r.exists and r.witness == "c"
+
+
 def test_construct_transition_examples():
     t8 = "abbabaab"
     w = construct_transition(t8, t8)
