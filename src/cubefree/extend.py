@@ -409,7 +409,7 @@ def _find_uniform_context(
         q = node[0]
         if len(q) != qlen:
             return None
-        if require_extendable and not is_right_extendable(s + q, d_check).extendable:
+        if require_extendable and not _decide_right(s + q, d_check).extendable:
             return None
         return q
 
@@ -433,7 +433,7 @@ def _search_lifting_context(s: str, s2: str, need: int) -> tuple[str, Extendabil
     def goal(w: str) -> tuple[str, ExtendabilityVerdict] | None:
         if len(w) != need:
             return None
-        sub = is_right_extendable(s2 + w, 2)
+        sub = _decide_right(s2 + w, 2)
         return (w, sub) if sub.extendable else None
 
     return _depth_first("", _right_contexts(s, need), goal)
@@ -543,14 +543,15 @@ def _require_extendable(u: str, d: int) -> ExtendabilityVerdict:
 def shortest_c_extension(U: str, d: int) -> str:
     """Shortest right context of the form (binary word + c-letter) whose
     append keeps U right extendable; breadth-first and lexicographic, so
-    deterministic.  Raises if none exists within half of |U| plus slack."""
+    deterministic.  Raises if none exists within half of |U| plus slack.
+    U must be a cube-free word over the d letters; it is not re-checked."""
     c_letters = words.letters_of(d)[2:]
 
     def goal(v: str) -> str | None:
         for c in c_letters:
             if words.append_check(U + v, c, assume_cube_free=True) is not None:
                 continue
-            if is_right_extendable(U + v + c, d).extendable:
+            if _decide_right(U + v + c, d).extendable:
                 return v + c
         return None
 
@@ -568,7 +569,7 @@ def _shortest_marker_extension(base: str) -> str:
     def goal(v: str) -> str | None:
         word = base + v
         if v and any(word.endswith(m) for m in analysis.MARKERS):
-            if is_right_extendable(word, 2).extendable:
+            if _decide_right(word, 2).extendable:
                 return v
         return None
 

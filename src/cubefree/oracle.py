@@ -1,10 +1,11 @@
 """Brute-force reference implementations for cross-validation.
 
 Everything here shares no scanning code with the optimized paths: cube
-detection compares letters one by one, overlaps are found bit-parallel,
-Thue-Morse letters come from the parity formula instead of the morphism,
-and uniformity is decided by trying all decompositions.  The acceptance
-suite leans on agreement between the two routes.
+detection compares letters one by one, a letter appended in a tree walk
+is checked by a loop of suffix slice comparisons, overlaps are found
+bit-parallel, Thue-Morse letters come from the parity formula instead of
+the morphism, and uniformity is decided by trying all decompositions.
+The acceptance suite leans on agreement between the two routes.
 """
 
 from __future__ import annotations
@@ -81,9 +82,20 @@ class EnumerationResult(NamedTuple):
     words: list[str] | None
 
 
+def _suffix_cube(w: str, x: str) -> CubeWitness | None:
+    """Smallest-period cube suffix of w + x, one slice comparison per
+    period: the plain counterpart of words.append_check."""
+    wx = w + x
+    n = len(wx)
+    for p in range(1, n // 3 + 1):
+        if wx[n - 3 * p : n - 2 * p] == wx[n - 2 * p : n - p] == wx[n - p :]:
+            return CubeWitness(n - 3 * p + 1, p)
+    return None
+
+
 def _extensions(u: str, ctx: str, alphabet: str) -> Iterator[str]:
     for x in alphabet:
-        if words.append_check(u + ctx, x, assume_cube_free=True) is None:
+        if _suffix_cube(u + ctx, x) is None:
             yield ctx + x
 
 
@@ -188,13 +200,8 @@ def context_tree(u: str, depth: int, *, d: int | None = None, full: bool = False
         per_depth = {0: [""]}
         k = 0
         while level and k < depth:
-            nxt = []
-            for ctx in level:
-                for x in alphabet:
-                    if words.append_check(u + ctx, x, assume_cube_free=True) is None:
-                        nxt.append(ctx + x)
+            level = [child for ctx in level for child in _extensions(u, ctx, alphabet)]
             k += 1
-            level = nxt
             counts[k] = len(level)
             per_depth[k] = level
         alive = {i: c for i, c in counts.items() if c}

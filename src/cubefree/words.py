@@ -9,6 +9,7 @@ convention of combinatorics on words; internally slices are 0-based.
 from __future__ import annotations
 
 import math
+import re
 import string
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -153,24 +154,32 @@ def is_cube_free(w: str) -> bool:
     return find_cube(w) is None
 
 
+# A cube x^3 at the end of a word is a cube at the start of its reversal.
+# The lazy group tries |x| = 1, 2, ... in turn, so a match has the smallest
+# period; DOTALL keeps every character matchable.
+_CUBE_PREFIX = re.compile(r"(.+?)\1\1", re.DOTALL)
+
+
 def append_check(w: str, x: str, *, assume_cube_free: bool = False) -> CubeWitness | None:
     """Cube created by appending the letter x to the cube-free word w, if any.
 
-    Only suffixes of w+x can be fresh cubes, so the check runs over suffix
-    periods alone.  Pass assume_cube_free=True in search loops where the
-    precondition is maintained inductively; by default the precondition is
-    verified and its violation raises ValueError.
+    Only suffixes of w+x can be fresh cubes.  The witness is the cube suffix
+    of smallest period (also when w is not cube-free), found by one compiled
+    regular-expression match on the reversal of w+x, so the scan over
+    periods runs in C.  Pass assume_cube_free=True in search loops where
+    the precondition is maintained inductively; by default the precondition
+    is verified and its violation raises ValueError.
     """
     if len(x) != 1 or not "a" <= x <= "z":
         raise ValueError(f"appended letter must be a single letter, got {x!r}")
     if not assume_cube_free and find_cube(w) is not None:
         raise ValueError("append_check requires a cube-free base word")
     wx = w + x
-    n = len(wx)
-    for p in range(1, n // 3 + 1):
-        if wx[n - 3 * p : n - 2 * p] == wx[n - 2 * p : n - p] == wx[n - p :]:
-            return CubeWitness(n - 3 * p + 1, p)
-    return None
+    m = _CUBE_PREFIX.match(wx[::-1])
+    if m is None:
+        return None
+    p = m.end(1)
+    return CubeWitness(len(wx) - 3 * p + 1, p)
 
 
 def extension_is_cube_free(w: str, ext: str) -> bool:

@@ -103,15 +103,17 @@ def test_deep_walks_are_not_recursive():
 
 
 def test_context_tree_does_not_use_the_fast_detector(monkeypatch):
-    def broken(w):
-        raise AssertionError("the oracle must not call words.find_cube")
+    def broken(*args, **kwargs):
+        raise AssertionError("the oracle must not call the fast cube checks")
 
     monkeypatch.setattr(words, "find_cube", broken)
+    monkeypatch.setattr(words, "append_check", broken)
     rep = context_tree("aabaabaa", 10)
     assert rep.exhausted and rep.max_depth == 0
     assert context_tree("ab", 4, full=True).alive_at_depth[4] > 0
     with pytest.raises(ValueError):
         context_tree("aaa", 3)
+    assert enumerate_cube_free(2, 10).count == 118
 
 
 def test_context_tree_full_mode_counts():

@@ -92,6 +92,27 @@ def test_new_cubes_are_suffixes(w, x):
         assert witness.position + 3 * witness.period - 1 == len(w) + 1
 
 
+def test_append_check_matches_the_oracle_loop_witness_by_witness():
+    # bases with a cube included: under assume_cube_free=True the witness is
+    # still the smallest-period cube suffix of w + x
+    for letters, max_n in (("ab", 14), ("abc", 8)):
+        for n in range(max_n + 1):
+            for t in itertools.product(letters, repeat=n):
+                w = "".join(t)
+                for x in letters:
+                    assert append_check(w, x, assume_cube_free=True) == oracle._suffix_cube(w, x), (w, x)
+    t = thue_morse.tm_prefix(6000)
+    for n in (10, 59, 60, 240, 961, 4000):
+        for start in range(0, 2000, 101):
+            base = t[start : start + n]
+            cases = [(base, x) for x in "ab"]
+            for p in (1, 2, 3, 5, 16, n // 3):
+                root = base[-p:]  # base + root + root ends with a planted cube
+                cases.append((base + root + root[:-1], root[-1]))
+            for w, x in cases:
+                assert append_check(w, x, assume_cube_free=True) == oracle._suffix_cube(w, x), (start, n)
+
+
 def test_max_periodic_suffix_examples():
     assert max_periodic_suffix("aabaabaa", 3).length == 8
     assert max_periodic_suffix("abba", 1).length == 1
