@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import mmap
 from dataclasses import dataclass
 from typing import Callable, Iterator, TypeVar
 
@@ -188,21 +189,62 @@ def _depth_first(
     return None
 
 
+# words of a breadth-first level moved into one memory map at a time
+_SPILL = 4096
+
+
+class _Level:
+    """The words of one breadth-first level, all of one length, in order.
+
+    Words are kept as strings until _SPILL of them have gathered; those
+    then go into one anonymous memory map, side by side.  A walk cut off
+    deep in an exponential context tree thus holds k bytes a word instead
+    of a string object and a list slot (about 100 bytes), and each map goes
+    back to the system once the level is dropped, instead of leaving the
+    heap it filled to the allocator."""
+
+    def __init__(self) -> None:
+        self._strings: list[str] = []
+        self._maps: list[mmap.mmap] = []
+
+    def __bool__(self) -> bool:
+        return bool(self._strings or self._maps)
+
+    def append(self, w: str) -> None:
+        self._strings.append(w)
+        if len(self._strings) == _SPILL:
+            data = "".join(self._strings).encode("ascii")
+            packed = mmap.mmap(-1, len(data))
+            packed.write(data)
+            self._maps.append(packed)
+            self._strings = []
+
+    def __iter__(self) -> Iterator[str]:
+        for packed in self._maps:
+            batch = str(packed, "ascii")
+            k = len(batch) // _SPILL
+            for i in range(0, len(batch), k):
+                yield batch[i : i + k]
+        yield from self._strings
+
+
 def _breadth_first(
-    root: _Node,
-    children: Callable[[_Node], Iterator[_Node]],
-    goal: Callable[[_Node], _Hit | None],
+    root: str,
+    children: Callable[[str], Iterator[str]],
+    goal: Callable[[str], _Hit | None],
 ) -> _Hit | None:
     """First non-None goal(node) over the tree below root, in breadth-first
     order: level by level, children in the order children(node) gives them.
     Each node is tested as soon as it is made, so a hit ends the walk
-    before the rest of its level is expanded."""
+    before the rest of its level is expanded.  Nodes are words and
+    children(w) yields one-letter extensions of w, so a level holds words
+    of one length (see _Level)."""
     hit = goal(root)
     if hit is not None:
         return hit
-    level = [root]
+    level: tuple[str] | _Level = (root,)
     while level:
-        nxt: list[_Node] = []
+        nxt = _Level()
         for node in level:
             for child in children(node):
                 hit = goal(child)
@@ -540,7 +582,7 @@ def _require_extendable(u: str, d: int) -> ExtendabilityVerdict:
     return verdict
 
 
-def shortest_c_extension(U: str, d: int) -> str:
+def _shortest_c_extension(U: str, d: int) -> str:
     """Shortest right context of the form (binary word + c-letter) whose
     append keeps U right extendable; breadth-first and lexicographic, so
     deterministic.  Raises if none exists within half of |U| plus slack.
@@ -618,7 +660,7 @@ def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> Ta
                 pieces.append(w)
                 anchor = s2 + w
                 break
-            vc = shortest_c_extension(U, d)
+            vc = _shortest_c_extension(U, d)
             pieces.append(vc)
             U += vc
         else:

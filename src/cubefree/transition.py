@@ -182,7 +182,7 @@ def _right_anchor(s: str, d: int) -> tuple[str, str]:
             appended += forced
             U += forced
             continue
-        vc = extend.shortest_c_extension(U, d)
+        vc = extend._shortest_c_extension(U, d)
         appended += vc
         U += vc
     raise RuntimeError(f"anchor search iteration cap exceeded for {s!r}")

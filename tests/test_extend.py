@@ -254,6 +254,24 @@ def test_bounded_context_probe_is_not_recursive():
         oracle.context_tree("ab", -1)
 
 
+@pytest.mark.parametrize("spill", [1, 3, 4096])
+def test_breadth_first_visits_level_by_level(monkeypatch, spill):
+    # the order the goal sees nodes in, against whole levels kept as lists,
+    # with levels moved into memory maps after `spill` words (or not at all)
+    monkeypatch.setattr(extend, "_SPILL", spill)
+    for u, depth, letters in (("", 9, "ab"), ("abaab", 12, "ab"), ("ab", 5, "abc"), (SHORTEST_DEAD, 9, "ab")):
+        children = extend._right_contexts(u, depth, letters)
+        seen = []
+        assert extend._breadth_first("", children, lambda w: seen.append(w)) is None
+        expected, level = [""], [""]
+        while level:
+            level = [child for w in level for child in children(w)]
+            expected += level
+        assert seen == expected
+        first = next((w for w in expected if len(w) == 4), None)
+        assert extend._breadth_first("", children, lambda w: w if len(w) == 4 else None) == first
+
+
 def test_algorithm2_does_not_reverify_the_verdict_certificate(monkeypatch):
     # the extendability decision verifies its certificate; when the lifted
     # certificate is that same one, algorithm2 does not check it again

@@ -55,6 +55,16 @@ def test_direct_right_matches_the_level_by_level_search():
                 assert _direct_right(u, v, 2, cap) == _level_by_level_direct_right(u, v, 2, cap), (u, v, cap)
 
 
+def test_direct_right_with_levels_in_memory_maps(monkeypatch):
+    # levels of more than two contexts go into memory maps, two at a time
+    monkeypatch.setattr(extend, "_SPILL", 2)
+    short = [""] + list(oracle.iter_cube_free(2, 4))
+    for u in short + [DEAD]:
+        for v in short:
+            for cap in (0, 3, 7):
+                assert _direct_right(u, v, 2, cap) == _level_by_level_direct_right(u, v, 2, cap), (u, v, cap)
+
+
 def test_direct_right_ignores_a_witness_just_past_the_cap():
     # the shortest context of "aaba" ending with "aab" is "baab", one past cap 3
     assert _level_by_level_direct_right("aaba", "aab", 2, 4).witness == "b"
