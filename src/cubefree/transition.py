@@ -1,11 +1,11 @@
 """Transition words: deciding and constructing w with u + w + v cube-free.
 
-The decision follows a short-circuit order: look for a right context of u
-carrying v as a suffix (a direct witness), dually for left contexts of v,
-and otherwise settle both endpoints' extendability.  A non-extendable
-endpoint has a finite context tree, which decides the question exactly;
-two extendable endpoints always admit a transition, built explicitly by
-splicing the two certified Thue-Morse tails inside T.
+The decision takes three exact steps.  A bounded search of u's right
+contexts, to depth |v| + 4, looks for one ending with v (a direct witness,
+|w| <= 4).  If it misses and an endpoint cannot be extended, that
+endpoint's context tree is finite, and scanning it in full decides the
+question.  Two extendable endpoints always admit a transition, built
+explicitly by splicing the two certified Thue-Morse tails inside T.
 """
 
 from __future__ import annotations
@@ -32,13 +32,8 @@ class TransitionResult:
 def _validated_pair(u: str, v: str, d: int | None) -> int:
     if d is None:
         d = max(words.infer_alphabet(u), words.infer_alphabet(v))
-    words.validate_word(u, d)
-    words.validate_word(v, d)
-    if words.find_cube(u) is not None:
-        raise ValueError(f"{u!r} contains a cube")
-    if words.find_cube(v) is not None:
-        raise ValueError(f"{v!r} contains a cube")
-    return d
+    extend._cube_free_word(u, d)
+    return extend._cube_free_word(v, d)
 
 
 def _require_cube_free(u: str, w: str, v: str) -> str:
@@ -67,72 +62,46 @@ def splice(u: str, u1: str, v: str, v1: str) -> str:
     return _require_cube_free(u, thue_morse.splice_pattern(u1, words.reverse(v1)), words.reverse(v))
 
 
-_ALIVE = object()  # goal result of _direct_right for a node past the cap
+def _direct_right(u: str, v: str, d: int, depth: int | None) -> str | None:
+    """First right context of u of length <= depth that ends with v, in
+    breadth-first lexicographic order, or None.  depth=None walks the whole
+    tree, which ends only when the tree is finite."""
+    contexts = extend._right_contexts(u, depth, words.letters_of(d))
+    return extend._breadth_first("", contexts, lambda ctx: ctx if ctx.endswith(v) else None)
 
 
-def _direct_right(u: str, v: str, d: int, cap: int) -> TransitionResult | None:
-    """Bounded search of u's right-context tree for a context ending with v.
-
-    Returns a decision when a witness appears or the whole tree fits under
-    the cap (then absence of the suffix is a proof of impossibility);
-    None when the tree is still alive at the cap without a witness.
-    """
-
-    def goal(ctx: str) -> object:
-        if len(ctx) > cap:
-            return _ALIVE
-        if not ctx.endswith(v):
-            return None
-        witness = _require_cube_free(u, ctx[: len(ctx) - len(v)], v)
-        return TransitionResult(True, witness, TransitionMethod.DIRECT_CONTEXT)
-
-    hit = extend._breadth_first("", extend._right_contexts(u, cap + 1, words.letters_of(d)), goal)
-    if hit is None:
-        return TransitionResult(False, None, TransitionMethod.EXHAUSTED)
-    return None if hit is _ALIVE else hit
+def _direct_left(u: str, v: str, d: int) -> str | None:
+    """Dual exhaustive search: the first left context of v that begins with
+    u, or None.  It walks v's whole left-context tree, so v must not be left
+    extendable.  Cube-freeness is reversal-invariant."""
+    mirrored = _direct_right(words.reverse(v), words.reverse(u), d, None)
+    return None if mirrored is None else words.reverse(mirrored)
 
 
-def _direct_left(u: str, v: str, d: int, cap: int) -> TransitionResult | None:
-    """Dual bounded search: left contexts of v beginning with u.  The mirrored
-    search has verified the reversal of the witness, and cube-freeness is
-    reversal-invariant."""
-    mirrored = _direct_right(words.reverse(v), words.reverse(u), d, cap)
-    if mirrored is None or not mirrored.exists:
-        return mirrored
-    return TransitionResult(True, words.reverse(mirrored.witness), TransitionMethod.DIRECT_CONTEXT)
-
-
-def transition_exists(
-    u: str, v: str, d: int | None = None, *, direct_cap: int | None = None
-) -> TransitionResult:
+def transition_exists(u: str, v: str, d: int | None = None) -> TransitionResult:
     """Decide whether some w makes u + w + v cube-free; always materialize w.
 
-    Bounded direct searches first (they also settle the question exactly
-    whenever a context tree turns out finite), then the certified
-    extendability decisions: if u cannot grow right or v cannot grow left,
-    the corresponding finite tree is scanned in full; if both can, a
-    witness is constructed through the Thue-Morse word.
-
-    direct_cap overrides the depth budget of the direct searches (default:
-    the sought word's length plus a little slack).
+    One bounded search first: the first right context of u, at most
+    |v| + 4 letters long, that ends with v.  If there is none, the
+    certified extendability decisions settle the question: if u cannot
+    grow right or v cannot grow left, that endpoint's finite context tree
+    is scanned in full, and finding no witness there answers EXHAUSTED; if
+    both can, a witness is constructed through the Thue-Morse word.
     """
     d = _validated_pair(u, v, d)
-    res = _direct_right(u, v, d, cap=direct_cap if direct_cap is not None else len(v) + 4)
-    if res is not None:
-        return res
-    res = _direct_left(u, v, d, cap=direct_cap if direct_cap is not None else len(u) + 4)
-    if res is not None:
-        return res
-    if not extend.is_right_extendable(u, d).extendable:
-        final = _direct_right(u, v, d, cap=10**9)  # finite tree: runs to exhaustion
-    elif not extend.is_left_extendable(v, d).extendable:
-        final = _direct_left(u, v, d, cap=10**9)
-    else:
-        witness = construct_transition(u, v, d)
-        return TransitionResult(True, witness, TransitionMethod.THEOREM)
-    if final is None:
-        raise RuntimeError(f"internal error: finite context tree not exhausted for ({u!r}, {v!r})")
-    return final
+    ctx = _direct_right(u, v, d, len(v) + 4)
+    if ctx is None:
+        if not extend.is_right_extendable(u, d).extendable:
+            ctx = _direct_right(u, v, d, None)  # u's tree is finite: scan it all
+        elif not extend.is_left_extendable(v, d).extendable:
+            left = _direct_left(u, v, d)  # v's tree is finite: scan it all
+            ctx = None if left is None else left[len(u) :] + v
+        else:
+            return TransitionResult(True, construct_transition(u, v, d), TransitionMethod.THEOREM)
+    if ctx is None:
+        return TransitionResult(False, None, TransitionMethod.EXHAUSTED)
+    witness = _require_cube_free(u, ctx[: len(ctx) - len(v)], v)
+    return TransitionResult(True, witness, TransitionMethod.DIRECT_CONTEXT)
 
 
 def construct_transition(u: str, v: str, d: int | None = None) -> str:
@@ -192,12 +161,7 @@ def _force_c_context(U: str, d: int) -> str:
     """A right context of U ending with the first c-letter, preserving
     extendability, obtained by overwriting one position of a certified
     context sample."""
-    verdict = extend.is_right_extendable(U, d)
-    if not verdict.extendable:
-        raise extend.NotExtendableError(U, verdict.max_context_length or 0)
-    cert = verdict.certificate
-    if cert is None:
-        raise RuntimeError(f"internal error: extendable verdict without certificate for {U!r}")
+    cert = extend._require_extendable(U, d).certificate
     sample = cert.Y + thue_morse.tm_range(cert.r, cert.r + len(U) + 8)
     preferred = max(1, min(len(U), len(sample)))
     positions = list(range(preferred, len(sample) + 1)) + list(range(preferred - 1, 0, -1))
@@ -205,7 +169,7 @@ def _force_c_context(U: str, d: int) -> str:
         cand = sample[: k - 1] + "c"
         if not words.extension_is_cube_free(U, cand):
             continue
-        if extend.is_right_extendable(U + cand, d).extendable:
+        if extend._decide_right(U + cand, d).extendable:
             return cand
     raise RuntimeError(f"could not force a c-letter into a context of {U!r}")
 

@@ -25,3 +25,8 @@ def test_cli_json_matches_the_golden_corpus():
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
             code = main(case["argv"])
         assert (code, out.getvalue()) == (case["exit"], case["stdout"]), case["argv"]
+
+
+def test_the_golden_corpus_covers_every_transition_method():
+    methods = {json.loads(case["stdout"]).get("method") for case in CORPUS if case["argv"][0] == "transition"}
+    assert {"direct-context", "exhausted", "theorem"} <= methods

@@ -14,6 +14,7 @@ from cubefree.transition import (
 )
 
 DEAD = "aabaabaa"  # not right extendable
+LEFT_DEAD = words.reverse("abbaabbaabb")  # not left extendable
 
 
 def _brute_transition(u, v, d, max_len):
@@ -28,10 +29,12 @@ def _brute_transition(u, v, d, max_len):
 
 def _level_by_level_direct_right(u, v, d, cap):
     """The direct search written as an explicit loop over whole levels: test
-    every context of one length for the suffix v, then build the next level."""
+    every context of one length for the suffix v, then build the next level.
+    A tree that dies within the cap answers EXHAUSTED, one still alive at the
+    cap None; cap=None runs a finite tree to its end."""
     alphabet = words.letters_of(d)
     level = [""]
-    for _ in range(cap + 1):
+    for _ in itertools.count() if cap is None else range(cap + 1):
         for ctx in level:
             if ctx.endswith(v):
                 return TransitionResult(True, ctx[: len(ctx) - len(v)], TransitionMethod.DIRECT_CONTEXT)
@@ -47,12 +50,17 @@ def _level_by_level_direct_right(u, v, d, cap):
     return None
 
 
+def _hit(reference, v):
+    """The context _direct_right returns for a level-by-level result."""
+    return reference.witness + v if reference is not None and reference.exists else None
+
+
 def test_direct_right_matches_the_level_by_level_search():
     short = [""] + list(oracle.iter_cube_free(2, 6))
     for u in short + [DEAD, thue_morse.complement(DEAD)]:
         for v in short:
             for cap in range(9):
-                assert _direct_right(u, v, 2, cap) == _level_by_level_direct_right(u, v, 2, cap), (u, v, cap)
+                assert _direct_right(u, v, 2, cap) == _hit(_level_by_level_direct_right(u, v, 2, cap), v), (u, v, cap)
 
 
 def test_direct_right_with_levels_in_memory_maps(monkeypatch):
@@ -62,17 +70,57 @@ def test_direct_right_with_levels_in_memory_maps(monkeypatch):
     for u in short + [DEAD]:
         for v in short:
             for cap in (0, 3, 7):
-                assert _direct_right(u, v, 2, cap) == _level_by_level_direct_right(u, v, 2, cap), (u, v, cap)
+                assert _direct_right(u, v, 2, cap) == _hit(_level_by_level_direct_right(u, v, 2, cap), v), (u, v, cap)
 
 
 def test_direct_right_ignores_a_witness_just_past_the_cap():
     # the shortest context of "aaba" ending with "aab" is "baab", one past cap 3
     assert _level_by_level_direct_right("aaba", "aab", 2, 4).witness == "b"
-    assert _direct_right("aaba", "aab", 2, 4).witness == "b"
+    assert _direct_right("aaba", "aab", 2, 4) == "baab"
     assert _direct_right("aaba", "aab", 2, 3) is None
     assert _direct_right("", "a", 2, 0) is None
-    assert _direct_right("", "a", 2, 1).witness == ""
-    assert _direct_right(DEAD, "ab", 2, 10).method is TransitionMethod.EXHAUSTED
+    assert _direct_right("", "a", 2, 1) == "a"
+    assert _direct_right(DEAD, "ab", 2, 10) is None
+    assert transition_exists(DEAD, "ab").method is TransitionMethod.EXHAUSTED
+
+
+def _level_by_level_direct_left(u, v, d, cap):
+    """The mirrored pass: left contexts of v that begin with u."""
+    res = _level_by_level_direct_right(words.reverse(v), words.reverse(u), d, cap)
+    if res is not None and res.exists:
+        return TransitionResult(True, words.reverse(res.witness), TransitionMethod.DIRECT_CONTEXT)
+    return res
+
+
+def _two_pass_transition(u, v, d):
+    """The decision in its earlier order: a right pass at |v| + 4, the
+    mirrored left pass at |u| + 4, then the extendability decisions and the
+    exhaustive scans of a finite context tree."""
+    res = _level_by_level_direct_right(u, v, d, len(v) + 4)
+    if res is None:
+        res = _level_by_level_direct_left(u, v, d, len(u) + 4)
+    if res is not None:
+        return res
+    if not extend.is_right_extendable(u, d).extendable:
+        return _level_by_level_direct_right(u, v, d, None)
+    if not extend.is_left_extendable(v, d).extendable:
+        return _level_by_level_direct_left(u, v, d, None)
+    return TransitionResult(True, construct_transition(u, v, d), TransitionMethod.THEOREM)
+
+
+def test_transition_exists_matches_the_two_pass_decision():
+    short = [""] + list(oracle.iter_cube_free(2, 6))
+    dead = [DEAD, thue_morse.complement(DEAD)]
+    pairs = [(u, v, 2) for u in short + dead for v in short + dead + [LEFT_DEAD]]
+    ternary = [""] + list(oracle.iter_cube_free(3, 2))
+    pairs += [(u, v, 3) for u in ternary for v in ternary]
+    assert len(pairs) == 4459
+    methods = set()
+    for u, v, d in pairs:
+        res = transition_exists(u, v, d)
+        assert res == _two_pass_transition(u, v, d), (u, v, d)
+        methods.add(res.method)
+    assert methods == {TransitionMethod.DIRECT_CONTEXT, TransitionMethod.EXHAUSTED}
 
 
 def test_splice_trivial():
@@ -108,6 +156,10 @@ def test_transition_exists_examples():
     r = transition_exists("", "")
     assert r.exists and r.witness == ""
 
+    # a 4-letter witness, the longest the bounded search looks for
+    r = transition_exists("abaabaa", "aabbaab")
+    assert r == TransitionResult(True, "bbab", TransitionMethod.DIRECT_CONTEXT)
+
 
 def test_transition_agrees_with_brute_force():
     pool = [""] + list(oracle.iter_cube_free(2, 5))
@@ -120,16 +172,37 @@ def test_transition_agrees_with_brute_force():
                 assert words.is_cube_free(u + res.witness + v)
 
 
+# construct_transition's witnesses, pinned letter for letter
+CONSTRUCTED = {
+    ("aa", "bb", None): "baabbaababbabaababbaabbabaabbaababbaabbabaababbabaabbaababaa",
+    ("abbabaab", "abbabaab", None): (
+        "aabbaababbaababbabbaabbabaabbaababbaabbabaababbabaabbaababbabaababbaabbabaab"
+        "abbabaabbaababbaabbabaabbaababbabaababbaabbabaabbaababbaabbabaababbabaabbaab"
+        "aabbabaabbabaaba"
+    ),
+    ("ab", "ba", None): "aababaabbaababbabaababbaabbabaabbaababbaabbabaababbabaabbaababaa",
+    ("cab", "bac", 3): (
+        "aacaabaababbaabbabaabbaababbaabbabaababbabaabbaababbabaababbaabbabaababbabaab"
+        "baababbaabbabaabbaababbaabbabaabaacaa"
+    ),
+}
+
+
 def test_transition_theorem_path():
-    # with the direct budget removed, the decision falls through to the
-    # certified construction; the witness must still verify
-    for u, v in (("aa", "bb"), ("abbabaab", "abbabaab"), ("ab", "ba")):
-        res = transition_exists(u, v, direct_cap=0)
+    # two extendable endpoints with no witness of at most 4 letters: the
+    # decision falls through to the certified construction
+    for u, v, length in (
+        ("aabaababaabbaa", "abaababaababaa", 302),
+        ("abbaabaabbabbaabbabb", "bababbaababaabbabaab", 327),
+    ):
+        res = transition_exists(u, v)
         assert res.exists and res.method is TransitionMethod.THEOREM
+        assert res.witness == construct_transition(u, v) and len(res.witness) == length
         assert words.is_cube_free(u + res.witness + v)
-    res = transition_exists("cab", "bac", 3, direct_cap=0)
-    assert res.exists and res.method is TransitionMethod.THEOREM
-    assert words.is_cube_free("cab" + res.witness + "bac")
+    # the construction itself, also on endpoints a short witness joins
+    for (u, v, d), w in CONSTRUCTED.items():
+        assert construct_transition(u, v, d) == w, (u, v, d)
+        assert words.is_cube_free(u + w + v)
 
 
 def test_transition_with_both_endpoints_dead():
@@ -199,10 +272,10 @@ def test_transition_dary_examples():
         transition_dary("ab", "ba", 2)
 
 
-def test_transition_exists_dary_theorem_path():
+def test_transition_exists_dary_direct_context():
+    # "cabaccabac" is cube-free, so the direct search answers with w = ""
     r = transition_exists("cabac", "cabac", 3)
-    assert r.exists
-    assert words.is_cube_free("cabac" + r.witness + "cabac")
+    assert r == TransitionResult(True, "", TransitionMethod.DIRECT_CONTEXT)
 
 
 def test_transition_agrees_with_brute_force_ternary():
