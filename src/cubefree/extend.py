@@ -72,13 +72,16 @@ class TailCertificate:
         return verification_length(len(u) + len(self.Y))
 
     def verify(self, u: str) -> bool:
-        """Re-check the certificate against the word it extends."""
+        """Re-check the certificate against the word it extends.
+
+        Only cubes starting inside u + Y are looked for: the rest of the
+        scanned word is a factor of T, which is cube-free."""
         if self.r < 1:
             return False
         prefix = u + self.Y
         length = self.verified_prefix(u)
         full = prefix + thue_morse.tm_range(self.r, self.r + length)
-        if not words.is_cube_free(full):
+        if words.find_cube(full, _before=len(prefix)) is not None:
             return False
         if not 0 <= self.seam <= len(prefix):
             return False
@@ -115,7 +118,10 @@ class ExtendabilityVerdict:
 
 # Decision results and failed certificate probes, keyed by (word, alphabet
 # size).  Concurrent duplicate inserts are harmless: values for equal keys
-# are equal, and all operations stay logically pure.
+# are equal, and all operations stay logically pure.  Each table holds at
+# most _MEMO_CAP entries: a full dict drops its oldest entry, a full set is
+# emptied.
+_MEMO_CAP = 2048
 _verdicts: dict[tuple[str, int], ExtendabilityVerdict] = {}
 _no_uniform_context: set[str] = set()
 _no_binary_reduction: set[tuple[str, int]] = set()
@@ -123,9 +129,22 @@ _no_binary_reduction: set[tuple[str, int]] = set()
 
 def clear_caches() -> None:
     _uniform_context_tail.cache_clear()
+    _first_uniform_context.cache_clear()
     _verdicts.clear()
     _no_uniform_context.clear()
     _no_binary_reduction.clear()
+
+
+def _remember_verdict(key: tuple[str, int], verdict: ExtendabilityVerdict) -> None:
+    while len(_verdicts) >= _MEMO_CAP:
+        _verdicts.pop(next(iter(_verdicts)), None)
+    _verdicts[key] = verdict
+
+
+def _remember_miss(table: set, key: object) -> None:
+    if len(table) >= _MEMO_CAP:
+        table.clear()
+    table.add(key)
 
 
 def log_bound(n: int) -> float:
@@ -420,12 +439,10 @@ def _uniform_context_tail(u: str, w: str) -> TailCertificate:
     raise RuntimeError(f"tail attachment failed for {u!r} with context {w!r}: {misses}")
 
 
-def _find_uniform_context(
-    s: str, qlen: int, *, require_extendable: bool, d_check: int = 2
-) -> str | None:
+def _find_uniform_context(s: str, qlen: int, *, require_extendable: bool) -> str | None:
     """Lexicographically first uniform cube-free right context of s with
     exactly the given length and no forbidden prefix; optionally only one
-    that keeps the extended word right extendable.
+    that keeps the extended word right extendable over {a,b}.
 
     A node is (q, parity): parity is the position parity shared by every
     doubled letter of q, None before the first one."""
@@ -451,11 +468,44 @@ def _find_uniform_context(
         q = node[0]
         if len(q) != qlen:
             return None
-        if require_extendable and not _decide_right(s + q, d_check).extendable:
+        if require_extendable and not _extends_right(s, q):
             return None
         return q
 
     return _depth_first(("", None), children, goal)
+
+
+# The context walk is a pure function of s, and algorithm2's stage two asks
+# for the same s that its extendability decision has just probed.
+@functools.lru_cache(maxsize=64)
+def _first_uniform_context(s: str) -> str | None:
+    """First uniform context of s of length 2|s| + 3, extendable or not."""
+    return _find_uniform_context(s, 2 * len(s) + 3, require_extendable=False)
+
+
+def _extends_right(s: str, q: str) -> bool:
+    """Is s + q right extendable over {a,b}, for a uniform context q of s?
+
+    A certificate built from q's T-tail alone, q or q[1:] continued in T,
+    settles most yes answers with one verification; the full decision
+    settles the rest.  A shortcut yes is not memoized, so _verdicts holds
+    only what _decide_right computes."""
+    word = s + q
+    for tail in (q, q[1:]):
+        if TailCertificate("", _tail_start(tail, prefer_tm=True), len(word) - len(tail)).verify(word):
+            return True
+    return _decide_right(word, 2).extendable
+
+
+def _extendable_uniform_context(s: str) -> str | None:
+    """First uniform context q of s of length 2|s| + 3 with s + q right
+    extendable.  The walk with that test visits the contexts of the walk
+    without it in the same order, so the first of those, already known,
+    is tested before walking again."""
+    q = _first_uniform_context(s)
+    if q is None or _extends_right(s, q):
+        return q
+    return _find_uniform_context(s, 2 * len(s) + 3, require_extendable=True)
 
 
 def _binary_suffix(s: str) -> str:
@@ -486,9 +536,9 @@ def _node_certificate(s: str, d: int) -> TailCertificate | None:
     if d == 2:
         if s in _no_uniform_context:
             return None
-        q = _find_uniform_context(s, 2 * len(s) + 3, require_extendable=False)
+        q = _first_uniform_context(s)
         if q is None:
-            _no_uniform_context.add(s)
+            _remember_miss(_no_uniform_context, s)
             return None
         return _uniform_context_tail(s, q)
     if (s, d) in _no_binary_reduction:
@@ -498,7 +548,7 @@ def _node_certificate(s: str, d: int) -> TailCertificate | None:
     need = max(0, target - len(s2))
     hit = _search_lifting_context(s, s2, need)
     if hit is None:
-        _no_binary_reduction.add((s, d))
+        _remember_miss(_no_binary_reduction, (s, d))
         return None
     w, sub = hit
     cert2 = sub.certificate
@@ -546,7 +596,7 @@ def _decide_right(u: str, d: int) -> ExtendabilityVerdict:
             cert = _node_certificate(s, d)
             if cert is None:
                 return None
-            _verdicts[(s, d)] = ExtendabilityVerdict(True, cert)
+            _remember_verdict((s, d), ExtendabilityVerdict(True, cert))
         elif not hit.extendable:  # known-dead subtree
             deepest = max(deepest, len(w) + (hit.max_context_length or 0))
             dead.add(w)
@@ -561,7 +611,7 @@ def _decide_right(u: str, d: int) -> ExtendabilityVerdict:
     verdict = _breadth_first("", lambda w: () if w in dead else expand(w), goal)
     if verdict is None:
         verdict = ExtendabilityVerdict(False, None, deepest)
-    _verdicts[key] = verdict
+    _remember_verdict(key, verdict)
     return verdict
 
 
@@ -669,7 +719,7 @@ def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> Ta
     for _ in range(iteration_cap):
         if stats is not None:
             stats["stage2_iterations"] += 1
-        q = _find_uniform_context(anchor, 2 * len(anchor) + 3, require_extendable=True)
+        q = _extendable_uniform_context(anchor)
         if q is not None:
             break
         v = _shortest_marker_extension(anchor)

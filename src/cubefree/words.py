@@ -116,7 +116,7 @@ def _back_extension(w: str, i: int, p: int, cap: int) -> int:
     return lo
 
 
-def find_cube(w: str) -> CubeWitness | None:
+def find_cube(w: str, *, _before: int | None = None) -> CubeWitness | None:
     """Leftmost cube occurrence (ties broken by smallest period), or None.
 
     A cube of period p is a stretch of 2p consecutive positions j with
@@ -130,9 +130,15 @@ def find_cube(w: str) -> CubeWitness | None:
     stretch has b < p, and an earlier square whose stretch is shorter than
     2p cannot also contain the next block, so the first cube met for a
     given p is the leftmost one of that period.
+
+    _before (internal) reports only a cube starting at a 0-based index
+    below it: the search starts as if a cube had been found there, so the
+    block pruning skips every later block.  The verifier uses it on words
+    whose suffix from that index on is known to be cube-free.
     """
     n = len(w)
-    best, best_p = n, 0  # 0-based start and period of the best cube so far
+    # 0-based start and period of the best cube so far
+    best, best_p = (n if _before is None else min(n, _before)), 0
     for p in range(1, n // 3 + 1):
         if best == 0:
             break  # nothing precedes position 0, and smaller p came first

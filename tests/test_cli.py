@@ -197,7 +197,7 @@ def test_verify_scans_a_tail_certificate_once(capsys, monkeypatch):
     assert rc == 0
     scans = []
     find_cube = words.find_cube
-    monkeypatch.setattr(words, "find_cube", lambda w: scans.append(w) or find_cube(w))
+    monkeypatch.setattr(words, "find_cube", lambda w, **kw: scans.append(w) or find_cube(w, **kw))
     rc, out2, _ = run(capsys, "verify", out)
     assert rc == 0 and out2 == "valid"
     assert len(scans) == 1

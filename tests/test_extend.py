@@ -232,14 +232,17 @@ def test_random_longer_words_certify():
         assert algorithm2(u, 3).verify(u), u
 
 
+LONG_BINARY = (
+    "abbabbabaababaabbabbabaabbabaababbaabbaabaabbabaababbaabaabbaababaabaabbaa"
+    "bbabbaabbababbabaababaabbaababaababbaabaabbaabbabaabbabaabaabbababbaabbabaab"
+    "abaababbab"
+)
+
+
 def test_algorithm2_on_a_long_binary_word():
     # the context searches nest through is_right_extendable; they must not
     # be bounded by the interpreter's recursion limit
-    u = (
-        "abbabbabaababaabbabbabaabbabaababbaabbaabaabbabaababbaabaabbaababaabaabbaa"
-        "bbabbaabbababbabaababaabbaababaababbaabaabbaabbabaabbabaabaabbababbaabbabaab"
-        "abaababbab"
-    )
+    u = LONG_BINARY
     assert len(u) == 160 and words.is_cube_free(u)
     cert = algorithm2(u, 2)
     assert cert.verify(u)
@@ -290,7 +293,7 @@ def test_algorithm2_does_not_reverify_the_verdict_certificate(monkeypatch):
 def test_algorithm2_scans_its_input_for_a_cube_once(monkeypatch):
     scanned = []
     find_cube = words.find_cube
-    monkeypatch.setattr(words, "find_cube", lambda w: scanned.append(w) or find_cube(w))
+    monkeypatch.setattr(words, "find_cube", lambda w, **kw: scanned.append(w) or find_cube(w, **kw))
     for u, d in (("abbabaabbaab", 2), ("abcabacb", 3)):
         extend.clear_caches()
         scanned.clear()
@@ -301,3 +304,176 @@ def test_algorithm2_scans_its_input_for_a_cube_once(monkeypatch):
 def test_left_extendability_names_the_given_word():
     with pytest.raises(ValueError, match="^'abbb' contains a cube$"):
         is_left_extendable("abbb")
+
+
+def test_algorithm2_work_count_on_a_long_binary_word(monkeypatch):
+    # a count, unlike a time, does not drift with the host: 2290 before
+    # stage two certified its contexts before deciding them, 461 after
+    calls = []
+    append_check = words.append_check
+    monkeypatch.setattr(words, "append_check", lambda w, x, **kw: calls.append(x) or append_check(w, x, **kw))
+    extend.clear_caches()
+    algorithm2(LONG_BINARY, 2)
+    assert len(calls) <= 600
+
+
+def _plain_stage_two(monkeypatch):
+    """Stage two as the walk alone: every candidate decided in full."""
+    monkeypatch.setattr(extend, "_extends_right", lambda s, q: extend._decide_right(s + q, 2).extendable)
+    monkeypatch.setattr(
+        extend,
+        "_extendable_uniform_context",
+        lambda s: extend._find_uniform_context(s, 2 * len(s) + 3, require_extendable=True),
+    )
+
+
+def _certify(u, d):
+    try:
+        return algorithm2(u, d)
+    except NotExtendableError as exc:
+        return exc.max_context_length
+
+
+# binary words whose first uniform context of length 2|u| + 3 loses
+# extendability, so stage two walks on to a later one (102 such words have
+# at most 16 letters); the two contexts first differ past the prefix the
+# tail construction consumes, so the certificates agree and only the
+# contexts tell the walks apart
+FIRST_CONTEXT_DIES = ("aabaabbabab", "aabaababbaaba", "aabaababaabbaa", "aababbaababbaa", "aabaabbabbaabaa")
+
+
+def test_algorithm2_matches_the_plain_stage_two_walk(monkeypatch):
+    import random
+
+    rng = random.Random(1914)
+    cases = [(_random_cube_free(rng, n, d), d) for d in (2, 3) for n in (4, 10, 20, 40, 80, 160) for _ in range(17)]
+    cases += [(u, 2) for u in FIRST_CONTEXT_DIES]
+    anchors = [u for u, d in cases if d == 2 and len(u) <= 40]
+
+    def run():
+        certs = []
+        for u, d in cases:
+            extend.clear_caches()
+            certs.append(_certify(u, d))
+        extend.clear_caches()
+        return certs, [extend._extendable_uniform_context(u) for u in anchors]
+
+    found = run()
+    with monkeypatch.context() as m:
+        _plain_stage_two(m)
+        assert run() == found
+    for u in FIRST_CONTEXT_DIES:
+        assert found[1][anchors.index(u)] != extend._first_uniform_context(u), u
+    assert len(cases) >= 200
+
+
+def test_a_certified_context_is_not_memoized(monkeypatch):
+    # a yes from the shortcut certificate adds no verdict; only what
+    # _decide_right computes is memoized
+    decide = extend._decide_right
+    extends = extend._extends_right
+    decided = []
+    shortcuts = []
+
+    def counting_decide(u, d):
+        decided.append(u)
+        return decide(u, d)
+
+    def checked_extends(s, q):
+        n_decided, before = len(decided), dict(extend._verdicts)
+        yes = extends(s, q)
+        if yes and len(decided) == n_decided:
+            shortcuts.append(s + q)
+            assert extend._verdicts == before, (s, q)
+        return yes
+
+    monkeypatch.setattr(extend, "_decide_right", counting_decide)
+    monkeypatch.setattr(extend, "_extends_right", checked_extends)
+    for u in ("abbabaab", "aab", LONG_BINARY[:40]):
+        extend.clear_caches()
+        assert algorithm2(u).verify(u)
+    assert shortcuts
+    assert not any((w, 2) in extend._verdicts for w in shortcuts)
+
+
+def test_stage_two_takes_a_marker_step_after_a_miss(monkeypatch):
+    # the paper's marker step runs when no uniform context of the anchor
+    # keeps it extendable; force one miss of that search
+    search = extend._extendable_uniform_context
+    marker = extend._shortest_marker_extension
+    searched, steps = [], []
+
+    def miss_once(s):
+        searched.append(s)
+        return None if len(searched) == 1 else search(s)
+
+    def marker_step(base):
+        v = marker(base)
+        steps.append((base, v))
+        return v
+
+    monkeypatch.setattr(extend, "_extendable_uniform_context", miss_once)
+    monkeypatch.setattr(extend, "_shortest_marker_extension", marker_step)
+    for u in ("abbabaab", "aab", LONG_BINARY[:40]):
+        extend.clear_caches()
+        searched.clear()
+        steps.clear()
+        stats = {}
+        cert = algorithm2(u, stats=stats)
+        assert stats["stage2_iterations"] == 2
+        [(base, v)] = steps
+        assert base == u and searched == [u, u + v] and cert.Y.startswith(v)
+        assert cert.verify(u)
+
+
+def _tampered(cert):
+    yield TailCertificate(cert.Y, cert.r + 1, cert.seam, cert.tm_aligned)
+    yield TailCertificate(cert.Y, cert.r - 1, cert.seam, cert.tm_aligned)
+    for i, x in enumerate(cert.Y):
+        flipped = "b" if x == "a" else "a"
+        yield TailCertificate(cert.Y[:i] + flipped + cert.Y[i + 1 :], cert.r, cert.seam, cert.tm_aligned)
+
+
+def test_verify_matches_a_full_scan(monkeypatch):
+    # verify looks for cubes starting in u + Y only; scanning the whole
+    # word, T-tail included, gives the same answer
+    import random
+
+    rng = random.Random(2718)
+    certified = []
+    for d, n in ((2, 6), (2, 20), (2, 40), (3, 8), (3, 20), (4, 10)):
+        for _ in range(5):
+            u = _random_cube_free(rng, n, d)
+            certified.append((u, algorithm2(u, d)))
+            certified.append((u, is_right_extendable(u, d).certificate))
+    tampered = [(u, t) for u, c in certified for t in _tampered(c)]
+    assert any(c.Y for _, c in certified)
+    assert all(c.verify(u) for u, c in certified)
+    bounded = [c.verify(u) for u, c in tampered]
+    assert not all(bounded)
+    find_cube = words.find_cube
+    monkeypatch.setattr(words, "find_cube", lambda w, **kw: find_cube(w))
+    assert all(c.verify(u) for u, c in certified)
+    assert [c.verify(u) for u, c in tampered] == bounded
+
+
+def test_memo_tables_stay_within_their_cap(monkeypatch):
+    import random
+
+    rng = random.Random(5)
+    cases = [(_random_cube_free(rng, n, d), d) for d in (2, 3) for n in (6, 12, 24, 40) for _ in range(4)]
+    cases += [(SHORTEST_DEAD, 2), ("abbaabbaabb", 2), (SHORTEST_DEAD, 3)]
+    answers = []
+    for u, d in cases:
+        extend.clear_caches()
+        answers.append((is_right_extendable(u, d), _certify(u, d)))
+    tables = ("_verdicts", "_no_uniform_context", "_no_binary_reduction")
+    monkeypatch.setattr(extend, "_MEMO_CAP", 8)
+    extend.clear_caches()
+    full = set()
+    for (u, d), answer in zip(cases, answers):
+        assert (is_right_extendable(u, d), _certify(u, d)) == answer, (u, d)
+        sizes = {t: len(getattr(extend, t)) for t in tables}
+        assert max(sizes.values()) <= 8, sizes
+        full.update(t for t, n in sizes.items() if n == 8)
+    assert "_verdicts" in full

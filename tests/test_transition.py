@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from cubefree import extend, oracle, thue_morse, words
+from cubefree import extend, oracle, thue_morse, transition, words
 from cubefree.transition import (
     TransitionMethod,
     TransitionResult,
@@ -218,6 +218,17 @@ def test_transition_with_dead_endpoint():
     # v on the left of DEAD still works when v + DEAD is cube-free
     r = transition_exists("b", DEAD)
     assert r.exists == (_brute_transition("b", DEAD, 2, 12) is not None)
+
+
+def test_a_dead_u_seen_whole_by_the_bounded_search_is_not_scanned_again(monkeypatch):
+    # DEAD's contexts are at most 0 letters long, within any bounded search
+    depths = []
+    direct = transition._direct_right
+    monkeypatch.setattr(transition, "_direct_right", lambda u, v, d, depth: depths.append(depth) or direct(u, v, d, depth))
+    for v in ("a", "ab", "abba"):
+        depths.clear()
+        assert transition_exists(DEAD, v) == TransitionResult(False, None, TransitionMethod.EXHAUSTED)
+        assert depths == [len(v) + 4]
 
 
 def test_a_binary_pair_is_decided_over_the_alphabet_asked_for():

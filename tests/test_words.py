@@ -197,7 +197,7 @@ def test_inner_cube_does_not_break_tie_break():
     assert find_cube("abbbabbbabbb") == CubeWitness(1, 4)
 
 
-def _reference_leftmost_cube(w):
+def _leftmost_cube_of_each_period(w):
     # brute force over every period p: the flags w[j] == w[j+p] for all j,
     # and a cube of period p starts at their first run of 2p ones
     found = []
@@ -206,7 +206,11 @@ def _reference_leftmost_cube(w):
         i = flags.find(b"\1" * (2 * p))
         if i >= 0:
             found.append((i + 1, p))
-    return min(found, default=None)
+    return found
+
+
+def _reference_leftmost_cube(w):
+    return min(_leftmost_cube_of_each_period(w), default=None)
 
 
 def _witness(w):
@@ -220,6 +224,20 @@ def test_find_cube_matches_reference_on_all_short_words():
             for t in itertools.product(letters, repeat=n):
                 w = "".join(t)
                 assert _witness(w) == _reference_leftmost_cube(w), w
+
+
+def test_find_cube_with_a_start_bound_matches_the_filtered_reference():
+    # the leftmost cube among those starting at a 0-based index below the
+    # bound, for every bound; a period with a cube there has its leftmost
+    # cube there
+    for letters, max_n in (("ab", 14), ("abc", 8)):
+        for n in range(max_n + 1):
+            for t in itertools.product(letters, repeat=n):
+                w = "".join(t)
+                found = _leftmost_cube_of_each_period(w)
+                expected = [min((c for c in found if c[0] - 1 < bound), default=None) for bound in range(n + 2)]
+                got = [find_cube(w, _before=bound) for bound in range(n + 2)]
+                assert [None if c is None else tuple(c) for c in got] == expected, w
 
 
 def test_find_cube_on_long_thue_morse_factors_with_planted_cubes():
