@@ -32,7 +32,6 @@ from . import analysis, thue_morse, words
 _BAD_PREFIXES = ("ababa", "babab")
 
 _Node = TypeVar("_Node")
-_Hit = TypeVar("_Hit")
 
 
 class NotExtendableError(ValueError):
@@ -186,26 +185,20 @@ def chain_length_audit(u: str, w: str) -> int:
     return k
 
 
-def _depth_first(
-    root: _Node,
-    children: Callable[[_Node], Iterator[_Node]],
-    goal: Callable[[_Node], _Hit | None],
-) -> _Hit | None:
-    """First non-None goal(node) over the tree below root, in depth-first
-    order.  children(node) is consumed lazily, so a sibling is tested only
-    once every subtree before it has failed; the explicit stack bounds the
-    depth by memory, not by the interpreter's recursion limit."""
+def _depth_first(root: _Node, children: Callable[[_Node], Iterator[_Node]]) -> Iterator[_Node]:
+    """The nodes of the tree below root, root first, in depth-first order.
+    children(node) is called only when the walk resumes past node, so a
+    caller that stops at a node expands nothing beyond it; the explicit
+    stack bounds the depth by memory, not by the interpreter's recursion
+    limit."""
     stack = [iter((root,))]
     while stack:
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
             continue
-        hit = goal(node)
-        if hit is not None:
-            return hit
+        yield node
         stack.append(children(node))
-    return None
 
 
 # words of a breadth-first level moved into one memory map at a time
@@ -247,31 +240,22 @@ class _Level:
         yield from self._strings
 
 
-def _breadth_first(
-    root: str,
-    children: Callable[[str], Iterator[str]],
-    goal: Callable[[str], _Hit | None],
-) -> _Hit | None:
-    """First non-None goal(node) over the tree below root, in breadth-first
-    order: level by level, children in the order children(node) gives them.
-    Each node is tested as soon as it is made, so a hit ends the walk
-    before the rest of its level is expanded.  Nodes are words and
+def _breadth_first(root: str, children: Callable[[str], Iterator[str]]) -> Iterator[str]:
+    """The nodes of the tree below root, root first, in breadth-first order:
+    level by level, children in the order children(node) gives them.  Each
+    node is yielded as soon as it is made, so a caller that stops at a node
+    leaves the rest of its level unexpanded.  Nodes are words and
     children(w) yields one-letter extensions of w, so a level holds words
     of one length (see _Level)."""
-    hit = goal(root)
-    if hit is not None:
-        return hit
+    yield root
     level: tuple[str] | _Level = (root,)
     while level:
         nxt = _Level()
         for node in level:
             for child in children(node):
-                hit = goal(child)
-                if hit is not None:
-                    return hit
+                yield child
                 nxt.append(child)
         level = nxt
-    return None
 
 
 def _right_contexts(s: str, depth: int | None, alphabet: str = "ab") -> Callable[[str], Iterator[str]]:
@@ -290,8 +274,7 @@ def _right_contexts(s: str, depth: int | None, alphabet: str = "ab") -> Callable
 
 def _has_cf_context(u: str, k: int) -> bool:
     """Does u have any cube-free binary right context of length k?"""
-    reached = _depth_first("", _right_contexts(u, k), lambda w: True if len(w) == k else None)
-    return reached is not None
+    return any(len(w) == k for w in _depth_first("", _right_contexts(u, k)))
 
 
 def _tail_start(tail: str, *, prefer_tm: bool) -> int:
@@ -370,7 +353,7 @@ class _ConstructionMiss(Exception):
     pass
 
 
-def _attach_tail(u: str, consumed: str, remainder: str) -> TailCertificate:
+def _attach_tail(u: str, consumed: str) -> TailCertificate:
     s = u + consumed
     if analysis.is_uniform(s):
         try:
@@ -433,19 +416,19 @@ def _uniform_context_tail(u: str, w: str) -> TailCertificate:
     misses = []
     for k in candidates:
         try:
-            return _attach_tail(u, w[:k], w[k:])
+            return _attach_tail(u, w[:k])
         except _ConstructionMiss as miss:
             misses.append(str(miss))
     raise RuntimeError(f"tail attachment failed for {u!r} with context {w!r}: {misses}")
 
 
-def _find_uniform_context(s: str, qlen: int, *, require_extendable: bool) -> str | None:
-    """Lexicographically first uniform cube-free right context of s with
-    exactly the given length and no forbidden prefix; optionally only one
-    that keeps the extended word right extendable over {a,b}.
+def _uniform_contexts(s: str) -> Iterator[str]:
+    """The uniform cube-free right contexts of s of length 2|s| + 3 with no
+    forbidden prefix, in lexicographic order.
 
     A node is (q, parity): parity is the position parity shared by every
     doubled letter of q, None before the first one."""
+    qlen = 2 * len(s) + 3
 
     def children(node: tuple[str, int | None]) -> Iterator[tuple[str, int | None]]:
         q, parity = node
@@ -464,15 +447,7 @@ def _find_uniform_context(s: str, qlen: int, *, require_extendable: bool) -> str
                 continue
             yield q + x, new_parity
 
-    def goal(node: tuple[str, int | None]) -> str | None:
-        q = node[0]
-        if len(q) != qlen:
-            return None
-        if require_extendable and not _extends_right(s, q):
-            return None
-        return q
-
-    return _depth_first(("", None), children, goal)
+    return (q for q, _ in _depth_first(("", None), children) if len(q) == qlen)
 
 
 # The context walk is a pure function of s, and algorithm2's stage two asks
@@ -480,7 +455,7 @@ def _find_uniform_context(s: str, qlen: int, *, require_extendable: bool) -> str
 @functools.lru_cache(maxsize=64)
 def _first_uniform_context(s: str) -> str | None:
     """First uniform context of s of length 2|s| + 3, extendable or not."""
-    return _find_uniform_context(s, 2 * len(s) + 3, require_extendable=False)
+    return next(_uniform_contexts(s), None)
 
 
 def _extends_right(s: str, q: str) -> bool:
@@ -499,13 +474,12 @@ def _extends_right(s: str, q: str) -> bool:
 
 def _extendable_uniform_context(s: str) -> str | None:
     """First uniform context q of s of length 2|s| + 3 with s + q right
-    extendable.  The walk with that test visits the contexts of the walk
-    without it in the same order, so the first of those, already known,
-    is tested before walking again."""
-    q = _first_uniform_context(s)
-    if q is None or _extends_right(s, q):
-        return q
-    return _find_uniform_context(s, 2 * len(s) + 3, require_extendable=True)
+    extendable.  The first context of all, already known, is tested first;
+    on a miss the walk goes on past it."""
+    q0 = _first_uniform_context(s)
+    if q0 is None or _extends_right(s, q0):
+        return q0
+    return next((q for q in _uniform_contexts(s) if q > q0 and _extends_right(s, q)), None)
 
 
 def _binary_suffix(s: str) -> str:
@@ -521,14 +495,12 @@ def _search_lifting_context(s: str, s2: str, need: int) -> tuple[str, Extendabil
     {a,b}.  Any binary context of s2 + w is then a context of s + w: a cube
     reaching past the last c-letter of s would need a period both larger
     than |s2 + w| and smaller than half the c-letter's position."""
-
-    def goal(w: str) -> tuple[str, ExtendabilityVerdict] | None:
-        if len(w) != need:
-            return None
-        sub = _decide_right(s2 + w, 2)
-        return (w, sub) if sub.extendable else None
-
-    return _depth_first("", _right_contexts(s, need), goal)
+    for w in _depth_first("", _right_contexts(s, need)):
+        if len(w) == need:
+            sub = _decide_right(s2 + w, 2)
+            if sub.extendable:
+                return w, sub
+    return None
 
 
 def _node_certificate(s: str, d: int) -> TailCertificate | None:
@@ -580,36 +552,22 @@ def is_right_extendable(u: str, d: int | None = None) -> ExtendabilityVerdict:
 
 
 def _decide_right(u: str, d: int) -> ExtendabilityVerdict:
+    """is_right_extendable on a checked word.  Only u's own verdict is
+    looked up and memoized, never a walked node's, so a verdict is a
+    function of (u, d) alone."""
     key = (u, d)
-    cached = _verdicts.get(key)
-    if cached is not None:
-        return cached
+    verdict = _verdicts.get(key)
+    if verdict is not None:
+        return verdict
     deepest = 0
-    dead: set[str] = set()  # contexts whose subtree a cached verdict closed
-
-    def goal(w: str) -> ExtendabilityVerdict | None:
-        nonlocal deepest
-        deepest = max(deepest, len(w))
-        s = u + w
-        hit = _verdicts.get((s, d))
-        if hit is None:
-            cert = _node_certificate(s, d)
-            if cert is None:
-                return None
-            _remember_verdict((s, d), ExtendabilityVerdict(True, cert))
-        elif not hit.extendable:  # known-dead subtree
-            deepest = max(deepest, len(w) + (hit.max_context_length or 0))
-            dead.add(w)
-            return None
-        elif hit.certificate is None:
-            raise RuntimeError(f"internal error: cached verdict without certificate for {s!r}")
-        else:
-            cert = hit.certificate
-        return ExtendabilityVerdict(True, TailCertificate(w + cert.Y, cert.r, cert.seam, cert.tm_aligned))
-
-    expand = _right_contexts(u, None, words.letters_of(d))
-    verdict = _breadth_first("", lambda w: () if w in dead else expand(w), goal)
-    if verdict is None:
+    for w in _breadth_first("", _right_contexts(u, None, words.letters_of(d))):
+        deepest = len(w)
+        cert = _node_certificate(u + w, d)
+        if cert is not None:
+            cert = TailCertificate(w + cert.Y, cert.r, cert.seam, cert.tm_aligned)
+            verdict = ExtendabilityVerdict(True, cert)
+            break
+    else:
         verdict = ExtendabilityVerdict(False, None, deepest)
     _remember_verdict(key, verdict)
     return verdict
@@ -638,37 +596,24 @@ def _shortest_c_extension(U: str, d: int) -> str:
     deterministic.  Raises if none exists within half of |U| plus slack.
     U must be a cube-free word over the d letters; it is not re-checked."""
     c_letters = words.letters_of(d)[2:]
-
-    def goal(v: str) -> str | None:
+    for v in _breadth_first("", _right_contexts(U, (len(U) + 1) // 2 + 2)):
         for c in c_letters:
             if words.append_check(U + v, c, assume_cube_free=True) is not None:
                 continue
             if _decide_right(U + v + c, d).extendable:
                 return v + c
-        return None
-
-    found = _breadth_first("", _right_contexts(U, (len(U) + 1) // 2 + 2), goal)
-    if found is None:
-        raise RuntimeError(f"no extendability-preserving c-letter context found for {U!r}")
-    return found
+    raise RuntimeError(f"no extendability-preserving c-letter context found for {U!r}")
 
 
 def _shortest_marker_extension(base: str) -> str:
     """Shortest nonempty binary context v with base + v ending at a marker
     and still right extendable over {a,b}; raises if none exists within
     2|base| + 31 letters."""
-
-    def goal(v: str) -> str | None:
+    for v in _breadth_first("", _right_contexts(base, 2 * len(base) + 31)):
         word = base + v
-        if v and any(word.endswith(m) for m in analysis.MARKERS):
-            if _decide_right(word, 2).extendable:
-                return v
-        return None
-
-    found = _breadth_first("", _right_contexts(base, 2 * len(base) + 31), goal)
-    if found is None:
-        raise RuntimeError(f"no extendability-preserving marker context found for {base!r}")
-    return found
+        if v and any(word.endswith(m) for m in analysis.MARKERS) and _decide_right(word, 2).extendable:
+            return v
+    raise RuntimeError(f"no extendability-preserving marker context found for {base!r}")
 
 
 def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> TailCertificate:

@@ -17,12 +17,6 @@ from . import words
 
 _COMPLEMENT = str.maketrans("ab", "ba")
 
-# Recurrence-gap allowances: T is uniformly recurrent, but no explicit gap
-# constant is assumed.  A generous multiplicative window plus error-on-miss
-# makes "not a factor" detection safe.
-_FACTOR_WINDOW = 8
-_OCCURRENCE_WINDOW = 64
-
 _lock = threading.Lock()
 _prefix = "abbabaab"
 
@@ -61,32 +55,46 @@ def tm_range(i: int, j: int) -> str:
     return _ensure(j)[i - 1 : j]
 
 
-def is_tm_factor(w: str) -> bool:
-    """True iff w occurs in T.
+def _block_length(n: int) -> int:
+    """2^k for the least k with 2^k >= n >= 1: the block length of
+    T = θ^k(T) that bounds the searches for a factor w of length n.
 
-    Searching a prefix of length max(64, 8*|w|) suffices: factors of T
-    recur with a gap linear in their length, well below this window.
+    With θ the morphism a -> ab, b -> ba, T splits into blocks θ^k(T[j])
+    of length 2^k, so an occurrence of w lies inside one block θ^k(x) or
+    straddles two, θ^k(x) θ^k(y) with xy = T[j..j+1], at a split fixed by
+    w alone; w then occurs wherever the letter x, or the pair xy, occurs
+    in T.  Both letters occur in T[1..2], all four pairs in T[1..7], so w
+    occurs in T[1..7 * 2^k].  Every window T[j..j+8] holds all four pairs
+    (a finite check on T[1..112], which by the same argument holds every
+    9-letter factor of T), and no letter occurs three times in a row; so
+    from any start, a straddling w occurs at some i with
+    start <= i <= start + 9 * 2^k - 3, and one inside a block before
+    start + 3 * 2^k.
     """
+    return 1 << (n - 1).bit_length()
+
+
+def is_tm_factor(w: str) -> bool:
+    """True iff w occurs in T, searched in T[1..7 * _block_length(|w|)]."""
     words.validate_word(w, 2)
     if not w:
         return True
-    window = tm_prefix(max(_OCCURRENCE_WINDOW, _FACTOR_WINDOW * len(w)))
-    return w in window
+    return w in tm_prefix(7 * _block_length(len(w)))
 
 
 def find_occurrence_after(pattern: str, start: int) -> int:
     """Smallest i >= start with T[i..i+|pattern|-1] = pattern.
 
-    The search is capped at start + 64*(|pattern|+1); a miss past the cap
-    raises ValueError, which by uniform recurrence means the pattern is not
-    a factor of T at all.
+    Every factor of T occurs by start + 9 * _block_length(|pattern|) (see
+    _block_length), so a miss up to that cap raises ValueError: the pattern
+    is not a factor of T.
     """
     words.validate_word(pattern, 2)
     if start < 1:
         raise ValueError("positions into T start at 1")
     if not pattern:
         return start
-    cap = start + _OCCURRENCE_WINDOW * (len(pattern) + 1)
+    cap = start + 9 * _block_length(len(pattern))
     window = tm_prefix(cap + len(pattern))
     idx = window.find(pattern, start - 1)
     if idx == -1 or idx + 1 > cap:

@@ -259,21 +259,27 @@ def test_bounded_context_probe_is_not_recursive():
 
 @pytest.mark.parametrize("spill", [1, 3, 4096])
 def test_breadth_first_visits_level_by_level(monkeypatch, spill):
-    # the order the goal sees nodes in, against whole levels kept as lists,
+    # the order the walk yields nodes in, against whole levels kept as lists,
     # with levels moved into memory maps after `spill` words (or not at all)
     monkeypatch.setattr(extend, "_SPILL", spill)
     for u, depth, letters in (("", 9, "ab"), ("abaab", 12, "ab"), ("ab", 5, "abc"), (SHORTEST_DEAD, 9, "ab")):
         children = extend._right_contexts(u, depth, letters)
-        seen = []
-        assert extend._breadth_first("", children, lambda w: seen.append(w)) is None
+        seen = list(extend._breadth_first("", children))
         expected, level = [""], [""]
         while level:
             level = [child for w in level for child in children(w)]
             expected += level
         assert seen == expected
         first = next((w for w in expected if len(w) == 4), None)
-        assert extend._breadth_first("", children, lambda w: w if len(w) == 4 else None) == first
+        assert next((w for w in extend._breadth_first("", children) if len(w) == 4), None) == first
 
+
+
+def test_depth_first_visits_the_oracle_tree_order():
+    # the oracle's walker is the independent reference for the same order
+    for u, depth, letters in (("", 9, "ab"), ("abaab", 12, "ab"), (SHORTEST_DEAD, 9, "ab"), ("ab", 5, "abc"), ("abcab", 4, "abcd")):
+        walked = list(extend._depth_first("", extend._right_contexts(u, depth, letters)))
+        assert walked == list(oracle._contexts_in_tree_order(u, letters, depth)), (u, depth, letters)
 
 def test_algorithm2_does_not_reverify_the_verdict_certificate(monkeypatch):
     # the extendability decision verifies its certificate; when the lifted
@@ -323,7 +329,7 @@ def _plain_stage_two(monkeypatch):
     monkeypatch.setattr(
         extend,
         "_extendable_uniform_context",
-        lambda s: extend._find_uniform_context(s, 2 * len(s) + 3, require_extendable=True),
+        lambda s: next((q for q in extend._uniform_contexts(s) if extend._extends_right(s, q)), None),
     )
 
 
@@ -366,6 +372,19 @@ def test_algorithm2_matches_the_plain_stage_two_walk(monkeypatch):
         assert found[1][anchors.index(u)] != extend._first_uniform_context(u), u
     assert len(cases) >= 200
 
+
+
+def test_a_failing_first_context_is_tested_once(monkeypatch):
+    # stage two tests the known first context, then walks on past it
+    u = FIRST_CONTEXT_DIES[0]
+    extends = extend._extends_right
+    tested = []
+    monkeypatch.setattr(extend, "_extends_right", lambda s, q: tested.append((s, q)) or extends(s, q))
+    extend.clear_caches()
+    assert algorithm2(u).verify(u)
+    q0 = extend._first_uniform_context(u)
+    assert not extends(u, q0)
+    assert tested.count((u, q0)) == 1
 
 def test_a_certified_context_is_not_memoized(monkeypatch):
     # a yes from the shortcut certificate adds no verdict; only what
@@ -476,3 +495,74 @@ def test_memo_tables_stay_within_their_cap(monkeypatch):
         assert max(sizes.values()) <= 8, sizes
         full.update(t for t, n in sizes.items() if n == 8)
     assert "_verdicts" in full
+
+
+
+def test_a_verdict_does_not_depend_on_earlier_decisions():
+    # every decision walks its own tree: deciding a word's children and
+    # grandchildren first leaves its verdict as it is on cold caches
+    cases = [(u, 2) for u in oracle.iter_cube_free(2, 12)] + [(u, 3) for u in oracle.iter_cube_free(3, 6)]
+    cold = {}
+    for u, d in cases:
+        extend.clear_caches()
+        cold[u, d] = extend._decide_right(u, d)
+    assert any(not verdict.extendable for verdict in cold.values())
+    extend.clear_caches()
+    for u, d in sorted(cases, key=lambda case: -len(case[0])):
+        for x in words.letters_of(d):
+            if words.append_check(u, x) is None:
+                for y in words.letters_of(d):
+                    if words.append_check(u + x, y) is None:
+                        extend._decide_right(u + x + y, d)
+                extend._decide_right(u + x, d)
+        assert extend._decide_right(u, d) == cold[u, d], (u, d)
+
+
+class _CountingDict(dict):
+    def __init__(self):
+        super().__init__()
+        self.lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.lookups += 1
+        return super().__contains__(key)
+
+
+def test_a_decision_looks_up_only_its_own_verdict(monkeypatch):
+    decided = []
+    decide = extend._decide_right
+    monkeypatch.setattr(extend, "_decide_right", lambda u, d: decided.append(u) or decide(u, d))
+    nested = []
+    for u, d in ((FIRST_CONTEXT_DIES[0], 2), ("abcabacb", 3), ("cabac", 3), (SHORTEST_DEAD, 2), (SHORTEST_DEAD, 3)):
+        memo = _CountingDict()
+        monkeypatch.setattr(extend, "_verdicts", memo)
+        decided.clear()
+        _certify(u, d)
+        assert memo.lookups == len(decided), (u, d)
+        nested.append(len(decided))
+    assert min(nested) >= 1 and max(nested) > 1, nested
+
+
+# a ternary word whose decision nests binary ones through the lifting search
+LONG_TERNARY = "aabaabacacbaacbcbbcbbaacbabccbacbbcabcbbccbbabaabcaccabcbaabbaaccbbaacaacbacbbcb"
+
+
+def test_extendability_work_counts(monkeypatch):
+    # counts, unlike times, do not drift with the host: a walk that expands
+    # one node more than it did when these bounds were recorded fails here
+    for u, d, bound in ((LONG_BINARY, 2, 459), (LONG_TERNARY, 3, 172)):
+        calls = []
+        append_check = words.append_check
+        with monkeypatch.context() as m:
+            m.setattr(words, "append_check", lambda w, x, **kw: calls.append(x) or append_check(w, x, **kw))
+            extend.clear_caches()
+            assert is_right_extendable(u, d).extendable
+        assert len(calls) <= bound, (u, d, len(calls))

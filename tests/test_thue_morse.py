@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from cubefree import oracle, thue_morse, words
@@ -122,11 +124,44 @@ def test_prefix_is_overlap_free():
 
 
 def test_factor_search_window_is_sufficient():
-    # the 8*|w| search window must already contain every factor of each
-    # length the pipeline queries: compare against a much larger window
+    # the 7 * _block_length(|w|) search window must already contain every
+    # factor of each length the pipeline queries: compare against a much
+    # larger window
     big = tm_prefix(1 << 14)
     for length in range(1, 17):
-        window = tm_prefix(max(64, 8 * length))
+        window = tm_prefix(7 * thue_morse._block_length(length))
         in_window = {window[i : i + length] for i in range(len(window) - length + 1)}
         in_big = {big[i : i + length] for i in range(len(big) - length + 1)}
         assert in_window == in_big, length
+
+
+def test_block_length():
+    assert [thue_morse._block_length(n) for n in range(1, 18)] == [1, 2, 4, 4] + [8] * 4 + [16] * 8 + [32]
+
+
+def test_every_nine_letter_factor_holds_all_four_pairs():
+    # the lemma behind the occurrence cap; T[1..112] holds every 9-letter
+    # factor of T, by the block argument of _block_length
+    pairs = {"aa", "ab", "ba", "bb"}
+    prefix = tm_prefix(112)
+    for i in range(len(prefix) - 8):
+        assert {prefix[i + j : i + j + 2] for j in range(8)} == pairs, i + 1
+    assert {prefix[j : j + 2] for j in range(6)} == pairs  # all in T[1..7]
+
+
+def test_search_bounds_hold_up_to_twelve_letters():
+    # against the independent parity prefix: every binary word of <= 12
+    # letters is recognized exactly, and every factor's first occurrence
+    # from each start <= 2000 lies below the cap and is the one found
+    text = oracle.tm_prefix_by_parity(4096)
+    for n in range(1, 13):
+        block = thue_morse._block_length(n)
+        factors = {text[i : i + n] for i in range(len(text) - n + 1)}
+        for letters in itertools.product("ab", repeat=n):
+            w = "".join(letters)
+            assert is_tm_factor(w) == (w in factors), w
+        for w in factors:
+            for start in range(1, 2001):
+                i = text.find(w, start - 1) + 1
+                assert start <= i < start + 9 * block, (w, start)
+                assert find_occurrence_after(w, start) == i, (w, start)

@@ -319,3 +319,52 @@ def test_dary_seam_windows_are_cube_free():
             for start in range(max(0, i - 3 * p + 1), min(i, len(s) - 3 * p) + 1):
                 x = s[start : start + p]
                 assert s[start : start + 3 * p] != x * 3
+
+
+# Both u end in a binary stretch with no right context over {a, b}, so
+# _right_anchor finds no lifting context and takes a shortest c-extension
+# first; the witnesses pin what that path builds.
+C_EXTENSION_WITNESSES = {
+    ("caabaabaa", "ab"): "caabaababaababbaabbabaabbaababbaabbabaababbabaabbaababbabaabbaabaaca",
+    ("cbbabbabb", "c"): (
+        "caabaababaababbaabbabaabbaababbaabbabaababbabaabbaababbabaababbaabbabaababbabaabbaabaac"
+    ),
+}
+
+
+def test_right_anchor_takes_a_c_extension(monkeypatch):
+    extended = []
+    c_extension = extend._shortest_c_extension
+    monkeypatch.setattr(extend, "_shortest_c_extension", lambda U, d: extended.append(U) or c_extension(U, d))
+    for (u, v), witness in C_EXTENSION_WITNESSES.items():
+        extend.clear_caches()
+        extended.clear()
+        assert transition_dary(u, v, 3) == witness
+        assert extended[0] == u
+        assert words.is_cube_free(u + witness + v)
+
+
+def _append_checks(monkeypatch, call):
+    """append_check calls made by call() on cold caches, and its result."""
+    calls = []
+    append_check = words.append_check
+    with monkeypatch.context() as m:
+        m.setattr(words, "append_check", lambda w, x, **kw: calls.append(x) or append_check(w, x, **kw))
+        extend.clear_caches()
+        result = call()
+    return len(calls), result
+
+
+def test_transition_work_counts(monkeypatch):
+    # counts, unlike times, do not drift with the host: a walk that expands
+    # one node more than it did when these bounds were recorded fails here
+    for u, v, d, bound in (
+        ("aabaababaabbaa", "abaababaababaa", 2, 3819),
+        ("abbaabaabbabbaabbabb", "bababbaababaabbabaab", 2, 27031),
+        ("bababbababbabaababaa", "aabbaabbaababbaababa", 2, 32707),
+    ):
+        n, _ = _append_checks(monkeypatch, lambda: transition_exists(u, v, d))
+        assert n <= bound, (u, v, n)
+    for (u, v), bound in zip(C_EXTENSION_WITNESSES, (64, 54)):
+        n, _ = _append_checks(monkeypatch, lambda: transition_dary(u, v, 3))
+        assert n <= bound, (u, v, n)
