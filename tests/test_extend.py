@@ -153,10 +153,11 @@ def test_algorithm2_binary_examples():
 
 
 def test_algorithm2_ternary_uses_stage_one():
-    stats = {}
-    cert = algorithm2("abc", 3, stats=stats)
-    assert cert.verify("abc")
-    assert stats["stage1_iterations"] >= 1
+    for u, rounds in (("abc", 1), (SHORTEST_DEAD, 2)):
+        stats = {}
+        cert = algorithm2(u, 3, stats=stats)
+        assert cert.verify(u)
+        assert stats["stage1_iterations"] == rounds, (u, stats)
 
     cert = algorithm2("c", 3)
     assert cert.verify("c")
@@ -412,6 +413,7 @@ def test_a_certified_context_is_not_memoized(monkeypatch):
         extend.clear_caches()
         assert algorithm2(u).verify(u)
     assert shortcuts
+    assert not any((w, 2) in extend._verdicts for w in shortcuts)
 
 
 def test_stage_two_takes_a_marker_step_after_a_miss(monkeypatch):

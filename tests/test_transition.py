@@ -268,16 +268,33 @@ def test_dary_empty_endpoints():
     assert any(words.is_c_letter(ch) for ch in w)
 
 
-def test_transition_dary_examples():
-    w = transition_dary("abc", "cba", 3)
-    assert words.is_cube_free("abc" + w + "cba")
+# Every endpoint here lifts at once with a binary context, so a c-letter
+# is forced in right at the endpoint itself; the witnesses pin that path.
+FORCED_C_WITNESSES = {
+    ("abc", "cba", 3): (
+        "aacaabaababbaabbabaabbaababbaabbabaababbabaabbaababbabaababbaabbabaababbabaabbaa"
+        "babbaabbabaabbaababbaabbabaabaacaa"
+    ),
+    ("ab", "ba", 3): "acaabaabbaababbabaababbaabbabaabbaababbaabbabaababbabaabbaabaaca",
+    ("c", "c", 3): "caabaabbaababbabaababbaabbabaabbaabaac",
+    ("", "", 3): "caabaabbaababbabaababbaabbabaabbaabaac",
+    ("abcd", "dcba", 4): (
+        "aabcaabaababbaabbabaabbaababbaabbabaababbabaabbaababbabaababbaabbabaababbabaabba"
+        "ababbaabbabaabbaababbabaababbaabbabaabbaababbaabbabaabaacbaa"
+    ),
+}
 
-    w = transition_dary("ab", "ba", 3)
-    assert words.is_cube_free("ab" + w + "ba")
-    assert any(words.is_c_letter(ch) for ch in w)
 
-    w = transition_dary("c", "c", 3)
-    assert words.is_cube_free("c" + w + "c")
+def test_transition_dary_examples(monkeypatch):
+    forced = []
+    force = transition._force_c_context
+    monkeypatch.setattr(transition, "_force_c_context", lambda U, d: forced.append(U) or force(U, d))
+    for (u, v, d), witness in FORCED_C_WITNESSES.items():
+        extend.clear_caches()
+        forced.clear()
+        assert transition_dary(u, v, d) == witness, (u, v, d)
+        assert forced == [u, words.reverse(v)]
+        assert words.is_cube_free(u + witness + v)
 
     with pytest.raises(ValueError):
         transition_dary("ab", "ba", 2)
@@ -368,3 +385,6 @@ def test_transition_work_counts(monkeypatch):
     for (u, v), bound in zip(C_EXTENSION_WITNESSES, (64, 54)):
         n, _ = _append_checks(monkeypatch, lambda: transition_dary(u, v, 3))
         assert n <= bound, (u, v, n)
+    for (u, v, d), bound in zip(FORCED_C_WITNESSES, (43, 43, 20, 24, 61)):
+        n, _ = _append_checks(monkeypatch, lambda: transition_dary(u, v, d))
+        assert n <= bound, (u, v, d, n)
