@@ -245,6 +245,11 @@ def _cmd_verify(args) -> int:
     if not isinstance(data, dict):
         raise _UsageError("certificate JSON must be an object")
     try:
+        for key in ("u", "v", "witness", "word", "Y"):
+            if key in data:
+                words.validate_word(data[key])
+        if any(type(data.get(key, 0)) is not int for key in ("r", "seam")):
+            raise ValueError("r and seam must be JSON integers")
         if {"u", "v", "witness"} <= set(data):
             ok = words.is_cube_free(data["u"] + data["witness"] + data["v"])
             payload = {"valid": bool(ok), "kind": "transition", **data}
@@ -255,10 +260,8 @@ def _cmd_verify(args) -> int:
             # without provenance the structural seam check degenerates (an
             # empty suffix is uniform); the cube-freeness core still fully
             # validates the infinite claim
-            seam = int(data.get("seam", len(base + data["Y"])))
-            cert = extend.TailCertificate(
-                data["Y"], int(data["r"]), seam, bool(data.get("tm_aligned", False))
-            )
+            seam = data.get("seam", len(base + data["Y"]))
+            cert = extend.TailCertificate(data["Y"], data["r"], seam, bool(data.get("tm_aligned", False)))
             ok = cert.verify(base)  # scans base + Y + T[r..], which starts with base
             payload = {"valid": bool(ok), "kind": "tail", **data}
         else:

@@ -484,22 +484,23 @@ def _extendable_uniform_context(s: str) -> str | None:
 
 def _binary_suffix(s: str) -> str:
     """The maximal all-binary suffix (everything after the last c-letter)."""
-    for i in range(len(s) - 1, -1, -1):
-        if words.is_c_letter(s[i]):
-            return s[i + 1 :]
-    return s
+    return s[len(s.rstrip("ab")) :]
 
 
-def _search_lifting_context(s: str, s2: str, need: int) -> tuple[str, ExtendabilityVerdict] | None:
-    """Binary context w of s, |w| = need, with s2 + w right extendable over
-    {a,b}.  Any binary context of s2 + w is then a context of s + w: a cube
-    reaching past the last c-letter of s would need a period both larger
-    than |s2 + w| and smaller than half the c-letter's position."""
+def _lifting_context(s: str) -> tuple[str, str, ExtendabilityVerdict] | None:
+    """(s2, w, verdict): s2 the binary suffix of s, w the first binary
+    context of s just long enough for |s2 + w| >= |s|/2 with s2 + w right
+    extendable over {a,b}, and verdict that decision.  Any binary context
+    of s2 + w is then a context of s + w: a cube reaching past the last
+    c-letter of s would need a period both larger than |s2 + w| and
+    smaller than half the c-letter's position."""
+    s2 = _binary_suffix(s)
+    need = max(0, (len(s) + 1) // 2 - len(s2))
     for w in _depth_first("", _right_contexts(s, need)):
         if len(w) == need:
             sub = _decide_right(s2 + w, 2)
             if sub.extendable:
-                return w, sub
+                return s2, w, sub
     return None
 
 
@@ -515,14 +516,11 @@ def _node_certificate(s: str, d: int) -> TailCertificate | None:
         return _uniform_context_tail(s, q)
     if (s, d) in _no_binary_reduction:
         return None
-    s2 = _binary_suffix(s)
-    target = (len(s) + 1) // 2
-    need = max(0, target - len(s2))
-    hit = _search_lifting_context(s, s2, need)
+    hit = _lifting_context(s)
     if hit is None:
         _remember_miss(_no_binary_reduction, (s, d))
         return None
-    w, sub = hit
+    s2, w, sub = hit
     cert2 = sub.certificate
     if cert2 is None:
         raise RuntimeError(f"internal error: extendable verdict without certificate for {s2 + w!r}")
@@ -616,6 +614,26 @@ def _shortest_marker_extension(base: str) -> str:
     raise RuntimeError(f"no extendability-preserving marker context found for {base!r}")
 
 
+def _iteration_cap(u: str) -> int:
+    """Most rounds either stage of algorithm2 may take on u."""
+    return max(8, int(log_bound(max(1, len(u)))) + 4)
+
+
+def _lift(u: str, d: int) -> tuple[str, str, int]:
+    """Stage one of algorithm2: grow u by shortest contexts ending in
+    c-letters until it has a lifting context w.  Returns (grown, stretch,
+    rounds): the letters appended to u, w last; the binary stretch ending
+    with w whose binary contexts lift to u + grown; and the rounds taken."""
+    grown = ""
+    for rounds in range(1, _iteration_cap(u) + 1):
+        hit = _lifting_context(u + grown)
+        if hit is not None:
+            s2, w, _ = hit
+            return grown + w, s2 + w, rounds
+        grown += _shortest_c_extension(u + grown, d)
+    raise RuntimeError(f"stage-one iteration cap exceeded for {u!r}")
+
+
 def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> TailCertificate:
     """Construct an explicit infinite right context (Y, r) of an extendable
     cube-free word, denoting u + Y + T[r..].
@@ -635,47 +653,27 @@ def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> Ta
         stats.setdefault("stage1_iterations", 0)
         stats.setdefault("stage2_iterations", 0)
 
-    iteration_cap = max(8, int(log_bound(max(1, len(u)))) + 4)
-    pieces: list[str] = []
-    U = u
-    anchor = u  # the binary word whose contexts lift to the full prefix
+    grown = ""
+    anchor = u  # the binary word whose contexts lift to u + grown
+    if d >= 3 and (any(words.is_c_letter(ch) for ch in u) or not _decide_right(u, 2).extendable):
+        grown, anchor, rounds = _lift(u, d)
+        if stats is not None:
+            stats["stage1_iterations"] += rounds
 
-    run_stage1 = d >= 3 and (
-        any(words.is_c_letter(ch) for ch in u) or not _decide_right(u, 2).extendable
-    )
-    if run_stage1:
-        for _ in range(iteration_cap):
-            if stats is not None:
-                stats["stage1_iterations"] += 1
-            s2 = _binary_suffix(U)
-            need = max(0, (len(U) + 1) // 2 - len(s2))
-            hit = _search_lifting_context(U, s2, need)
-            if hit is not None:
-                w, _ = hit
-                pieces.append(w)
-                anchor = s2 + w
-                break
-            vc = _shortest_c_extension(U, d)
-            pieces.append(vc)
-            U += vc
-        else:
-            raise RuntimeError(f"stage-one iteration cap exceeded for {u!r}")
-
-    for _ in range(iteration_cap):
+    for _ in range(_iteration_cap(u)):
         if stats is not None:
             stats["stage2_iterations"] += 1
         q = _extendable_uniform_context(anchor)
         if q is not None:
             break
         v = _shortest_marker_extension(anchor)
-        pieces.append(v)
+        grown += v
         anchor += v
     else:
         raise RuntimeError(f"stage-two iteration cap exceeded for {u!r}")
 
     sub = _uniform_context_tail(anchor, q)
-    pieces.append(sub.Y)
-    Y = "".join(pieces)
+    Y = grown + sub.Y
     seam = len(u) + len(Y) - len(anchor) - len(sub.Y) + sub.seam
     unlifted = u + Y == anchor + sub.Y
     cert = TailCertificate(Y, sub.r, seam, sub.tm_aligned and unlifted)

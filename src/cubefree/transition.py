@@ -132,35 +132,16 @@ def construct_transition(u: str, v: str, d: int | None = None) -> str:
 
 
 def _right_anchor(s: str, d: int) -> tuple[str, str]:
-    """Grow s by a context x ending with a c-letter, followed by a binary
-    stretch u1 of half the extended length that is right extendable over
-    {a,b}; binary continuations of u1 then lift across the c-letter.
-
-    When every natural context stays binary, a c-letter is forced into one
-    by overwriting a position of a concrete certified context, re-checking
-    extendability (preferred position: just past the current word, falling
-    back to neighbours)."""
-    U = s
-    appended = ""
-    guard = max(8, int(extend.log_bound(max(1, len(s)))) + 4)
-    for _ in range(guard):
-        anchored = any(words.is_c_letter(ch) for ch in appended)
-        s2 = extend._binary_suffix(U)
-        need = max(0, (len(U) + 1) // 2 - len(s2))
-        hit = extend._search_lifting_context(U, s2, need)
-        if hit is not None and anchored:
-            w, _ = hit
-            return appended, w
-        if hit is not None:
-            # the natural context is purely binary: force a c-letter into it
-            forced = _force_c_context(U, d)
-            appended += forced
-            U += forced
-            continue
-        vc = extend._shortest_c_extension(U, d)
-        appended += vc
-        U += vc
-    raise RuntimeError(f"anchor search iteration cap exceeded for {s!r}")
+    """(grown, stretch): the letters algorithm2's stage one appends to s,
+    which end with a c-letter and then the binary stretch, and that stretch,
+    whose binary continuations lift across the c-letter.  When s lifts at
+    once, no c-letter has been appended, so one is forced in first."""
+    grown, stretch, rounds = extend._lift(s, d)
+    if rounds == 1:
+        forced = _force_c_context(s, d)
+        grown, stretch, _ = extend._lift(s + forced, d)
+        grown = forced + grown
+    return grown, stretch
 
 
 def _force_c_context(U: str, d: int) -> str:
@@ -192,8 +173,6 @@ def transition_dary(u: str, v: str, d: int | None = None) -> str:
     if d < 3:
         raise ValueError("transition_dary requires an alphabet with c-letters")
     x, u1 = _right_anchor(u, d)
-    y_rev, v1_rev = _right_anchor(words.reverse(v), d)
-    y = words.reverse(y_rev)
-    v1 = words.reverse(v1_rev)
-    w1 = construct_transition(u1, v1, 2)
-    return _require_cube_free(u, x + u1 + w1 + v1 + y, v)
+    y, v1 = _right_anchor(words.reverse(v), d)
+    w1 = construct_transition(u1, words.reverse(v1), 2)
+    return _require_cube_free(u, x + w1 + words.reverse(y), v)

@@ -82,6 +82,8 @@ def validate_word(w: str, d: int | None = None) -> int:
 
     With d=None the alphabet is inferred from the letters actually used.
     """
+    if not isinstance(w, str):
+        raise TypeError(f"a word must be a string, not {type(w).__name__}")
     if not _LETTERS.issuperset(w):
         bad = next(ch for ch in w if ch not in _LETTERS)
         raise ValueError(f"invalid letter {bad!r} in word {w!r}")

@@ -192,6 +192,25 @@ def test_verify_round_trip(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "certificate",
+    [
+        '{"u":"AB1","v":"","witness":"x y"}',
+        '{"u":["a"],"v":"","witness":""}',
+        '{"word":"AB","Y":"","r":1}',
+        '{"word":"ab","Y":"a1","r":1}',
+        '{"word":"ab","Y":"","r":true}',
+        '{"word":"ab","Y":"","r":"1"}',
+        '{"word":"ab","Y":"","r":1.5}',
+        '{"word":"ab","Y":"","r":1,"seam":false}',
+    ],
+)
+def test_verify_rejects_fields_that_are_not_words_or_integers(capsys, certificate):
+    rc, out, err = run(capsys, "verify", certificate)
+    assert rc == 2 and not out
+    assert err.startswith("error: malformed certificate")
+
+
 def test_verify_scans_a_tail_certificate_once(capsys, monkeypatch):
     rc, out, _ = run(capsys, "extend", "abbabaab", "--json")
     assert rc == 0

@@ -338,9 +338,9 @@ def test_dary_seam_windows_are_cube_free():
                 assert s[start : start + 3 * p] != x * 3
 
 
-# Both u end in a binary stretch with no right context over {a, b}, so
-# _right_anchor finds no lifting context and takes a shortest c-extension
-# first; the witnesses pin what that path builds.
+# Both u end in a binary stretch with no right context over {a, b}, so the
+# first round of algorithm2's stage one (extend._lift) finds no lifting
+# context and takes a shortest c-extension; the witnesses pin that path.
 C_EXTENSION_WITNESSES = {
     ("caabaabaa", "ab"): "caabaababaababbaabbabaabbaababbaabbabaababbabaabbaababbabaabbaabaaca",
     ("cbbabbabb", "c"): (

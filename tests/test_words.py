@@ -37,6 +37,8 @@ def test_validate_word():
         words.validate_word("ab1")
     with pytest.raises(ValueError):
         words.validate_word("abc", 2)
+    with pytest.raises(TypeError):
+        words.validate_word(["a", "b"])  # letters, but not a string
 
 
 def test_is_cube_free_examples():
