@@ -169,6 +169,32 @@ def test_audit(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "1", "3"),
+        ("enumerate", "27", "3"),
+        ("enumerate", "2", "-1"),
+        ("audit", "0"),
+        ("audit", "21"),
+        ("tm", "--prefix", "-1"),
+        ("tm", "--factor", "abc"),
+        ("tm", "--range", "0", "3"),
+        ("markers", "abc"),
+        ("transition", "ab", "ba", "--alphabet", "1"),
+        ("transition", "ab1", "ba"),
+        ("extend", "ab", "--alphabet", "1"),
+        ("extendable", "right", "ab", "--alphabet", "1"),
+        ("check", "ab", "--alphabet", "27"),
+    ],
+)
+def test_rejected_input_exits_2_with_one_error_line(capsys, argv):
+    rc = main(list(argv))
+    out = capsys.readouterr()
+    assert rc == 2 and out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
 def test_verify_round_trip(capsys):
     rc, out, _ = run(capsys, "extend", "ab", "--json")
     assert rc == 0
