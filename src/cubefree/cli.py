@@ -2,7 +2,8 @@
 
 Exit codes: 0 for a positive result, 1 for a negative result, 2 for
 usage or input errors.  Positions in all output (including the T-tail
-start r of a certificate) are 1-based.
+start r of a certificate) are 1-based.  Inputs are checked by the library
+calls they feed; any ValueError becomes "error: ..." with exit code 2.
 """
 
 from __future__ import annotations
@@ -13,20 +14,7 @@ import sys
 
 from . import analysis, extend, oracle, thue_morse, transition, words
 
-_AUDIT_CAP = 20
 _ENUMERATE_LIST_CAP = 24
-
-
-class _UsageError(Exception):
-    pass
-
-
-def _parse_word(text: str, d: int | None) -> tuple[str, int]:
-    try:
-        eff = words.validate_word(text, d)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
-    return text, eff
 
 
 def _emit(args, payload: dict, text_lines: list[str]) -> None:
@@ -37,8 +25,19 @@ def _emit(args, payload: dict, text_lines: list[str]) -> None:
             print(line)
 
 
+def _tail_fields(cert: extend.TailCertificate, base: str) -> dict:
+    return {
+        "Y": cert.Y,
+        "r": cert.r,
+        "seam": cert.seam,
+        "tm_aligned": cert.tm_aligned,
+        "verified_prefix": cert.verified_prefix(base),
+    }
+
+
 def _cmd_check(args) -> int:
-    w, _ = _parse_word(args.word, args.alphabet)
+    w = args.word
+    words.validate_word(w, args.alphabet)
     witness = words.find_cube(w)
     if witness is None:
         _emit(args, {"word": w, "cube_free": True, "witness": None}, ["cube-free"])
@@ -54,7 +53,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_extendable(args) -> int:
-    w, d = _parse_word(args.word, args.alphabet)
+    w = args.word
+    d = words.validate_word(w, args.alphabet)
     base = w if args.side == "right" else words.reverse(w)
     if args.assume_context_bound is not None:
         return _probe_extendable(args, w, base, d)
@@ -62,16 +62,7 @@ def _cmd_extendable(args) -> int:
     verdict = decide(w, d)
     if verdict.extendable:
         cert = verdict.certificate
-        payload = {
-            "word": w,
-            "side": args.side,
-            "extendable": True,
-            "Y": cert.Y,
-            "r": cert.r,
-            "seam": cert.seam,
-            "tm_aligned": cert.tm_aligned,
-            "verified_prefix": cert.verified_prefix(base),
-        }
+        payload = {"word": w, "side": args.side, "extendable": True, **_tail_fields(cert, base)}
         _emit(
             args,
             payload,
@@ -86,7 +77,7 @@ def _probe_extendable(args, w: str, base: str, d: int) -> int:
     any context of length B as a yes (no certificate); exhaustion below B
     is still an exact no."""
     if not words.is_cube_free(w):
-        raise _UsageError(f"{w!r} contains a cube")
+        raise ValueError(f"{w!r} contains a cube")
     report = oracle.context_tree(base, args.assume_context_bound, d=d)
     if report.exhausted:
         return _emit_not_extendable(args, w, report.max_depth)
@@ -102,32 +93,22 @@ def _emit_not_extendable(args, w: str, exhausted_at: int | None) -> int:
 
 
 def _cmd_extend(args) -> int:
-    w, d = _parse_word(args.word, args.alphabet)
+    w = args.word
     try:
-        cert = extend.algorithm2(w, d)
+        cert = extend.algorithm2(w, args.alphabet)
     except extend.NotExtendableError as exc:
         payload = {"word": w, "extendable": False, "exhausted_at": exc.max_context_length}
         _emit(args, payload, ["not right-extendable",
                               json.dumps({"exhausted_at": exc.max_context_length}, sort_keys=True)])
         return 1
-    payload = {
-        "word": w,
-        "Y": cert.Y,
-        "r": cert.r,
-        "seam": cert.seam,
-        "tm_aligned": cert.tm_aligned,
-        "verified_prefix": cert.verified_prefix(w),
-    }
+    payload = {"word": w, **_tail_fields(cert, w)}
     _emit(args, payload, [json.dumps(payload, sort_keys=True)])
     return 0
 
 
 def _cmd_transition(args) -> int:
-    d = args.alphabet
-    u, du = _parse_word(args.u, d)
-    v, dv = _parse_word(args.v, d)
-    eff = d if d is not None else max(du, dv)
-    result = transition.transition_exists(u, v, eff)
+    u, v = args.u, args.v
+    result = transition.transition_exists(u, v, args.alphabet)
     if result.exists:
         payload = {
             "u": u,
@@ -144,7 +125,7 @@ def _cmd_transition(args) -> int:
 
 
 def _cmd_markers(args) -> int:
-    w, _ = _parse_word(args.word, 2)
+    w = args.word
     marks = analysis.scan_markers(w)
     payload: dict = {
         "word": w,
@@ -163,38 +144,26 @@ def _cmd_markers(args) -> int:
 def _cmd_tm(args) -> int:
     chosen = [opt for opt in (args.prefix, args.factor, args.range) if opt is not None]
     if len(chosen) != 1:
-        raise _UsageError("exactly one of --prefix, --factor, --range is required")
+        raise ValueError("exactly one of --prefix, --factor, --range is required")
     if args.prefix is not None:
-        if args.prefix < 0:
-            raise _UsageError("prefix length must be non-negative")
         out = thue_morse.tm_prefix(args.prefix)
         _emit(args, {"prefix": out}, [out])
         return 0
     if args.factor is not None:
-        w, d = _parse_word(args.factor, None)
-        if d > 2:
-            raise _UsageError("factor queries are over the binary alphabet")
+        w = args.factor
         ok = thue_morse.is_tm_factor(w)
         _emit(args, {"factor": w, "is_factor": ok}, ["factor" if ok else "not-a-factor"])
         return 0 if ok else 1
     i, j = args.range
-    try:
-        out = thue_morse.tm_range(i, j)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+    out = thue_morse.tm_range(i, j)
     _emit(args, {"range": [i, j], "word": out}, [out])
     return 0
 
 
 def _cmd_enumerate(args) -> int:
-    if args.d < 2 or args.d > 26 or args.n < 0:
-        raise _UsageError("need an alphabet size in 2..26 and a non-negative length")
     if args.list and args.n > _ENUMERATE_LIST_CAP:
-        raise _UsageError(f"--list is capped at length {_ENUMERATE_LIST_CAP}")
-    try:
-        result = oracle.enumerate_cube_free(args.d, args.n, collect=args.list)
-    except ValueError as exc:
-        raise _UsageError(str(exc))
+        raise ValueError(f"--list is capped at length {_ENUMERATE_LIST_CAP}")
+    result = oracle.enumerate_cube_free(args.d, args.n, collect=args.list)
     payload: dict = {"d": args.d, "n": args.n, "count": result.count}
     lines = [str(result.count)]
     if args.list:
@@ -205,8 +174,6 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    if not 1 <= args.max_n <= _AUDIT_CAP:
-        raise _UsageError(f"max_n is capped at {_AUDIT_CAP}")
     chains = oracle.greedy_chain_search(args.max_n)
     best: dict[int, int] = {}
     violations = []
@@ -241,15 +208,19 @@ def _cmd_verify(args) -> int:
     try:
         data = json.loads(raw)
     except json.JSONDecodeError as exc:
-        raise _UsageError(f"certificate is not valid JSON: {exc}")
+        raise ValueError(f"certificate is not valid JSON: {exc}")
     if not isinstance(data, dict):
-        raise _UsageError("certificate JSON must be an object")
+        raise ValueError("certificate JSON must be an object")
     try:
         for key in ("u", "v", "witness", "word", "Y"):
             if key in data:
                 words.validate_word(data[key])
         if any(type(data.get(key, 0)) is not int for key in ("r", "seam")):
             raise ValueError("r and seam must be JSON integers")
+        if type(data.get("tm_aligned", False)) is not bool:
+            raise ValueError("tm_aligned must be a JSON boolean")
+        if data.get("side", "right") not in ("right", "left"):
+            raise ValueError('side must be "right" or "left"')
         if {"u", "v", "witness"} <= set(data):
             ok = words.is_cube_free(data["u"] + data["witness"] + data["v"])
             payload = {"valid": bool(ok), "kind": "transition", **data}
@@ -261,13 +232,13 @@ def _cmd_verify(args) -> int:
             # empty suffix is uniform); the cube-freeness core still fully
             # validates the infinite claim
             seam = data.get("seam", len(base + data["Y"]))
-            cert = extend.TailCertificate(data["Y"], data["r"], seam, bool(data.get("tm_aligned", False)))
+            cert = extend.TailCertificate(data["Y"], data["r"], seam, data.get("tm_aligned", False))
             ok = cert.verify(base)  # scans base + Y + T[r..], which starts with base
             payload = {"valid": bool(ok), "kind": "tail", **data}
         else:
-            raise _UsageError('certificate must carry {"word","Y","r"} or {"u","v","witness"}')
+            raise ValueError('certificate must carry {"word","Y","r"} or {"u","v","witness"}')
     except (TypeError, ValueError) as exc:
-        raise _UsageError(f"malformed certificate: {exc}")
+        raise ValueError(f"malformed certificate: {exc}")
     _emit(args, payload, ["valid" if ok else "INVALID"])
     return 0 if ok else 1
 
@@ -340,9 +311,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,8 +5,9 @@ It is overlap-free, uniformly recurrent, and its factor set is closed
 under both reversal and letter exchange.  Positions into T are 1-based.
 
 A cached prefix grows by doubling (applying the morphism to itself); all
-queries address the cache.  Growth happens under a lock so concurrent
-readers always observe a consistent prefix.
+queries address the cache, so positions into T are limited to 1..2^24.
+Growth happens under a lock so concurrent readers always observe a
+consistent prefix.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ _COMPLEMENT = str.maketrans("ab", "ba")
 
 _lock = threading.Lock()
 _prefix = "abbabaab"
+_MAX_POSITION = 1 << 24
 
 
 def _morph(w: str) -> str:
@@ -27,6 +29,8 @@ def _morph(w: str) -> str:
 
 def _ensure(n: int) -> str:
     global _prefix
+    if n > _MAX_POSITION:
+        raise ValueError(f"positions into T are limited to {_MAX_POSITION}, got {n}")
     if len(_prefix) < n:
         with _lock:
             while len(_prefix) < n:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cubefree import words
+from cubefree import thue_morse, words
 from cubefree.cli import main
 from cubefree.extend import TailCertificate
 
@@ -229,12 +229,29 @@ def test_verify_round_trip(capsys):
         '{"word":"ab","Y":"","r":"1"}',
         '{"word":"ab","Y":"","r":1.5}',
         '{"word":"ab","Y":"","r":1,"seam":false}',
+        '{"Y":"aabbaababbaababba","r":22,"seam":6,"tm_aligned":"false","word":"abbabaab"}',
+        '{"Y":"aabbaababbaababba","r":22,"seam":6,"tm_aligned":false,"word":"abbabaab","side":"lft"}',
     ],
 )
 def test_verify_rejects_fields_that_are_not_words_or_integers(capsys, certificate):
     rc, out, err = run(capsys, "verify", certificate)
     assert rc == 2 and not out
     assert err.startswith("error: malformed certificate")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("tm", "--prefix", "1000000000"), "error: positions into T"),
+        (("tm", "--range", "999999990", "1000000000"), "error: positions into T"),
+        (("verify", '{"word":"ab","Y":"","r":1000000000}'), "error: malformed certificate: positions into T"),
+    ],
+)
+def test_thue_morse_positions_past_the_bound_build_nothing(capsys, argv, message):
+    cached = len(thue_morse._prefix)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and not out and err.startswith(message)
+    assert len(thue_morse._prefix) == cached
 
 
 def test_verify_scans_a_tail_certificate_once(capsys, monkeypatch):
