@@ -313,15 +313,11 @@ def test_left_extendability_names_the_given_word():
         is_left_extendable("abbb")
 
 
-def test_algorithm2_work_count_on_a_long_binary_word(monkeypatch):
+def test_algorithm2_work_count_on_a_long_binary_word(append_checks):
     # a count, unlike a time, does not drift with the host: 2290 before
     # stage two certified its contexts before deciding them, 461 after
-    calls = []
-    append_check = words.append_check
-    monkeypatch.setattr(words, "append_check", lambda w, x, **kw: calls.append(x) or append_check(w, x, **kw))
-    extend.clear_caches()
-    algorithm2(LONG_BINARY, 2)
-    assert len(calls) <= 600
+    n, _ = append_checks(lambda: algorithm2(LONG_BINARY, 2))
+    assert n <= 600
 
 
 def _plain_stage_two(monkeypatch):
@@ -557,14 +553,32 @@ def test_a_decision_looks_up_only_its_own_verdict(monkeypatch):
 LONG_TERNARY = "aabaabacacbaacbcbbcbbaacbabccbacbbcabcbbccbbabaabcaccabcbaabbaaccbbaacaacbacbbcb"
 
 
-def test_extendability_work_counts(monkeypatch):
+def test_extendability_work_counts(append_checks):
     # counts, unlike times, do not drift with the host: a walk that expands
     # one node more than it did when these bounds were recorded fails here
     for u, d, bound in ((LONG_BINARY, 2, 459), (LONG_TERNARY, 3, 172)):
-        calls = []
-        append_check = words.append_check
-        with monkeypatch.context() as m:
-            m.setattr(words, "append_check", lambda w, x, **kw: calls.append(x) or append_check(w, x, **kw))
-            extend.clear_caches()
-            assert is_right_extendable(u, d).extendable
-        assert len(calls) <= bound, (u, d, len(calls))
+        n, verdict = append_checks(lambda: is_right_extendable(u, d))
+        assert verdict.extendable
+        assert n <= bound, (u, d, n)
+
+
+def _uniform_reference(s):
+    """The uniform contexts of s from the oracle's tree, filtered after the
+    fact: every context of length 2|s| + 3, in order, that theta_decompose
+    accepts and that does not begin with ababa or babab."""
+    qlen = 2 * len(s) + 3
+    level = oracle.context_tree(s, qlen, d=2, full=True).words_at_depth.get(qlen, [])
+    return [q for q in level if oracle.theta_decompose(q) is not None and q[:5] not in ("ababa", "babab")]
+
+
+def test_uniform_contexts_match_the_oracle_tree():
+    for s in [""] + list(oracle.iter_cube_free(2, 7)):
+        assert list(extend._uniform_contexts(s)) == _uniform_reference(s), s
+
+
+def test_uniform_context_walk_work_counts(append_checks):
+    # exact counts: the uniformity test runs before the cube check, so a
+    # context it rules out costs no append_check call
+    for s, contexts, checks in ((FIRST_CONTEXT_DIES[0], 262, 1488), ("abbabaab", 163, 1030), ("bbababbabbaa", 577, 3651)):
+        n, found = append_checks(lambda: list(extend._uniform_contexts(s)))
+        assert (len(found), n) == (contexts, checks), s

@@ -361,18 +361,7 @@ def test_right_anchor_takes_a_c_extension(monkeypatch):
         assert words.is_cube_free(u + witness + v)
 
 
-def _append_checks(monkeypatch, call):
-    """append_check calls made by call() on cold caches, and its result."""
-    calls = []
-    append_check = words.append_check
-    with monkeypatch.context() as m:
-        m.setattr(words, "append_check", lambda w, x, **kw: calls.append(x) or append_check(w, x, **kw))
-        extend.clear_caches()
-        result = call()
-    return len(calls), result
-
-
-def test_transition_work_counts(monkeypatch):
+def test_transition_work_counts(append_checks):
     # counts, unlike times, do not drift with the host: a walk that expands
     # one node more than it did when these bounds were recorded fails here
     for u, v, d, bound in (
@@ -380,11 +369,11 @@ def test_transition_work_counts(monkeypatch):
         ("abbaabaabbabbaabbabb", "bababbaababaabbabaab", 2, 27031),
         ("bababbababbabaababaa", "aabbaabbaababbaababa", 2, 32707),
     ):
-        n, _ = _append_checks(monkeypatch, lambda: transition_exists(u, v, d))
+        n, _ = append_checks(lambda: transition_exists(u, v, d))
         assert n <= bound, (u, v, n)
     for (u, v), bound in zip(C_EXTENSION_WITNESSES, (64, 54)):
-        n, _ = _append_checks(monkeypatch, lambda: transition_dary(u, v, 3))
+        n, _ = append_checks(lambda: transition_dary(u, v, 3))
         assert n <= bound, (u, v, n)
     for (u, v, d), bound in zip(FORCED_C_WITNESSES, (43, 43, 20, 24, 61)):
-        n, _ = _append_checks(monkeypatch, lambda: transition_dary(u, v, d))
+        n, _ = append_checks(lambda: transition_dary(u, v, d))
         assert n <= bound, (u, v, d, n)
