@@ -1,9 +1,12 @@
 """Command-line surface with stable text and JSON output.
 
 Exit codes: 0 for a positive result, 1 for a negative result, 2 for
-usage or input errors.  Positions in all output (including the T-tail
-start r of a certificate) are 1-based.  Inputs are checked by the library
-calls they feed; any ValueError becomes "error: ..." with exit code 2.
+usage or input errors, 3 for an internal error.  Positions in all output
+(including the T-tail start r of a certificate) are 1-based.  Inputs are
+checked by the library calls they feed; any ValueError becomes
+"error: ..." with exit code 2.  A RuntimeError, which the library raises
+only when one of its own checks fails, becomes "internal error: ..." with
+exit code 3, so that it never reads as a negative answer.
 """
 
 from __future__ import annotations
@@ -314,6 +317,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"internal error: {str(exc).removeprefix('internal error: ')}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

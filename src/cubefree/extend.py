@@ -25,13 +25,14 @@ import functools
 import math
 import mmap
 from dataclasses import dataclass
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator
 
 from . import analysis, thue_morse, words
 
 _BAD_PREFIXES = ("ababa", "babab")
 
-_Node = TypeVar("_Node")
+# a walk's extra test keep(w, x) on a child w + x, run before the cube check
+_Keep = Callable[[str, str], bool] | None
 
 
 class NotExtendableError(ValueError):
@@ -185,20 +186,36 @@ def chain_length_audit(u: str, w: str) -> int:
     return k
 
 
-def _depth_first(root: _Node, children: Callable[[_Node], Iterator[_Node]]) -> Iterator[_Node]:
-    """The nodes of the tree below root, root first, in depth-first order.
-    children(node) is called only when the walk resumes past node, so a
-    caller that stops at a node expands nothing beyond it; the explicit
-    stack bounds the depth by memory, not by the interpreter's recursion
-    limit."""
-    stack = [iter((root,))]
+def _children(s: str, w: str, depth: int | None, alphabet: str, keep: _Keep = None) -> Iterator[str]:
+    """The children of the right context w of s: each w + x, x in alphabet
+    order, with s + w + x cube-free and none past depth (None: no cut).
+    keep(w, x), if given, runs first.  Every walk grows its nodes here."""
+    if depth is None or len(w) < depth:
+        base = s + w
+        for x in alphabet:
+            if (keep is None or keep(w, x)) and words.append_check(base, x, assume_cube_free=True) is None:
+                yield w + x
+
+
+def _depth_first(s: str, depth: int | None, alphabet: str = "ab", keep: _Keep = None) -> Iterator[str]:
+    """The right contexts of s (see _children), the empty one first, in
+    depth-first lexicographic order.  A node's children are made only when
+    the walk resumes past it, so a caller that stops at a node expands
+    nothing beyond it; the explicit stack bounds the depth by memory, not
+    by the interpreter's recursion limit."""
+    stack = [iter(("",))]
     while stack:
-        node = next(stack[-1], None)
-        if node is None:
+        w = next(stack[-1], None)
+        if w is None:
             stack.pop()
             continue
-        yield node
-        stack.append(children(node))
+        yield w
+        stack.append(_children(s, w, depth, alphabet, keep))
+
+
+def _contexts_of_length(s: str, k: int, keep: _Keep = None) -> Iterator[str]:
+    """The binary right contexts of s of length exactly k, in lexicographic order."""
+    return (w for w in _depth_first(s, k, "ab", keep) if len(w) == k)
 
 
 # words of a breadth-first level moved into one memory map at a time
@@ -240,41 +257,21 @@ class _Level:
         yield from self._strings
 
 
-def _breadth_first(root: str, children: Callable[[str], Iterator[str]]) -> Iterator[str]:
-    """The nodes of the tree below root, root first, in breadth-first order:
-    level by level, children in the order children(node) gives them.  Each
-    node is yielded as soon as it is made, so a caller that stops at a node
-    leaves the rest of its level unexpanded.  Nodes are words and
-    children(w) yields one-letter extensions of w, so a level holds words
-    of one length (see _Level)."""
-    yield root
-    level: tuple[str] | _Level = (root,)
+def _breadth_first(s: str, depth: int | None, alphabet: str = "ab") -> Iterator[str]:
+    """The right contexts of s (see _children), the empty one first, in
+    breadth-first order: level by level, each level in lexicographic order.
+    Each context is yielded as soon as it is made, so a caller that stops at
+    one leaves the rest of its level unexpanded.  A level holds contexts of
+    one length (see _Level)."""
+    yield ""
+    level: tuple[str] | _Level = ("",)
     while level:
         nxt = _Level()
-        for node in level:
-            for child in children(node):
+        for w in level:
+            for child in _children(s, w, depth, alphabet):
                 yield child
                 nxt.append(child)
         level = nxt
-
-
-def _right_contexts(s: str, depth: int | None, alphabet: str = "ab") -> Callable[[str], Iterator[str]]:
-    """Children function for the cube-free right contexts of s, cut at depth
-    (None: no cut)."""
-
-    def children(w: str) -> Iterator[str]:
-        if depth is None or len(w) < depth:
-            base = s + w
-            for x in alphabet:
-                if words.append_check(base, x, assume_cube_free=True) is None:
-                    yield w + x
-
-    return children
-
-
-def _has_cf_context(u: str, k: int) -> bool:
-    """Does u have any cube-free binary right context of length k?"""
-    return any(len(w) == k for w in _depth_first("", _right_contexts(u, k)))
 
 
 def _tail_start(tail: str, *, prefer_tm: bool) -> int:
@@ -317,7 +314,7 @@ def t_extend_uniform(u: str) -> TailCertificate:
     if not analysis.is_uniform(u):
         raise ValueError(f"{u!r} is not uniform")
     right_aligned = analysis.is_right_aligned(u)
-    if not _has_cf_context(u, 3) and not (right_aligned and _has_cf_context(u, 2)):
+    if not any(_contexts_of_length(u, 3)) and not (right_aligned and any(_contexts_of_length(u, 2))):
         raise ValueError(f"{u!r} has no qualifying short right context")
 
     n = len(u)
@@ -422,32 +419,23 @@ def _uniform_context_tail(u: str, w: str) -> TailCertificate:
     raise RuntimeError(f"tail attachment failed for {u!r} with context {w!r}: {misses}")
 
 
+def _stays_uniform(q: str, x: str) -> bool:
+    """Does the uniform word q + x stay uniform, free of the prefixes
+    ababa/babab?  The doubled letters of a uniform word all end at one
+    position parity, so a new one need only match the first found."""
+    if q[-1:] == x:
+        i = q.find("aa")
+        if i < 0:
+            i = q.find("bb")
+        if i >= 0 and (len(q) - i) % 2 == 0:
+            return False
+    return len(q) != 4 or q + x not in _BAD_PREFIXES
+
+
 def _uniform_contexts(s: str) -> Iterator[str]:
     """The uniform cube-free right contexts of s of length 2|s| + 3 with no
-    forbidden prefix, in lexicographic order.
-
-    A node is (q, parity): parity is the position parity shared by every
-    doubled letter of q, None before the first one."""
-    qlen = 2 * len(s) + 3
-
-    def children(node: tuple[str, int | None]) -> Iterator[tuple[str, int | None]]:
-        q, parity = node
-        if len(q) == qlen:
-            return
-        for x in "ab":
-            new_parity = parity
-            if q and q[-1] == x:
-                par = len(q) % 2
-                if parity is not None and parity != par:
-                    continue
-                new_parity = par
-            if len(q) == 4 and q + x in _BAD_PREFIXES:
-                continue
-            if words.append_check(s + q, x, assume_cube_free=True) is not None:
-                continue
-            yield q + x, new_parity
-
-    return (q for q, _ in _depth_first(("", None), children) if len(q) == qlen)
+    forbidden prefix, in lexicographic order."""
+    return _contexts_of_length(s, 2 * len(s) + 3, _stays_uniform)
 
 
 # The context walk is a pure function of s, and algorithm2's stage two asks
@@ -496,11 +484,10 @@ def _lifting_context(s: str) -> tuple[str, str, ExtendabilityVerdict] | None:
     smaller than half the c-letter's position."""
     s2 = _binary_suffix(s)
     need = max(0, (len(s) + 1) // 2 - len(s2))
-    for w in _depth_first("", _right_contexts(s, need)):
-        if len(w) == need:
-            sub = _decide_right(s2 + w, 2)
-            if sub.extendable:
-                return s2, w, sub
+    for w in _contexts_of_length(s, need):
+        sub = _decide_right(s2 + w, 2)
+        if sub.extendable:
+            return s2, w, sub
     return None
 
 
@@ -558,7 +545,7 @@ def _decide_right(u: str, d: int) -> ExtendabilityVerdict:
     if verdict is not None:
         return verdict
     deepest = 0
-    for w in _breadth_first("", _right_contexts(u, None, words.letters_of(d))):
+    for w in _breadth_first(u, None, words.letters_of(d)):
         deepest = len(w)
         cert = _node_certificate(u + w, d)
         if cert is not None:
@@ -594,7 +581,7 @@ def _shortest_c_extension(U: str, d: int) -> str:
     deterministic.  Raises if none exists within half of |U| plus slack.
     U must be a cube-free word over the d letters; it is not re-checked."""
     c_letters = words.letters_of(d)[2:]
-    for v in _breadth_first("", _right_contexts(U, (len(U) + 1) // 2 + 2)):
+    for v in _breadth_first(U, (len(U) + 1) // 2 + 2):
         for c in c_letters:
             if words.append_check(U + v, c, assume_cube_free=True) is not None:
                 continue
@@ -607,7 +594,7 @@ def _shortest_marker_extension(base: str) -> str:
     """Shortest nonempty binary context v with base + v ending at a marker
     and still right extendable over {a,b}; raises if none exists within
     2|base| + 31 letters."""
-    for v in _breadth_first("", _right_contexts(base, 2 * len(base) + 31)):
+    for v in _breadth_first(base, 2 * len(base) + 31):
         word = base + v
         if v and any(word.endswith(m) for m in analysis.MARKERS) and _decide_right(word, 2).extendable:
             return v

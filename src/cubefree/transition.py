@@ -66,7 +66,7 @@ def _direct_right(u: str, v: str, d: int, depth: int | None) -> str | None:
     """First right context of u of length <= depth that ends with v, in
     breadth-first lexicographic order, or None.  depth=None walks the whole
     tree, which ends only when the tree is finite."""
-    contexts = extend._breadth_first("", extend._right_contexts(u, depth, words.letters_of(d)))
+    contexts = extend._breadth_first(u, depth, words.letters_of(d))
     return next((ctx for ctx in contexts if ctx.endswith(v)), None)
 
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cubefree import thue_morse, words
+from cubefree import extend, thue_morse, words
 from cubefree.cli import main
 from cubefree.extend import TailCertificate
 
@@ -193,6 +193,19 @@ def test_rejected_input_exits_2_with_one_error_line(capsys, argv):
     out = capsys.readouterr()
     assert rc == 2 and out.out == ""
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("message", ["internal error: forced", "forced"])
+def test_internal_error_exits_3_with_one_error_line(capsys, monkeypatch, message):
+    # a failed internal check must not read as a negative answer (exit 1)
+    extend.clear_caches()
+
+    def broken(u, w):
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(extend, "_uniform_context_tail", broken)
+    rc, out, err = run(capsys, "extend", "ab", "--json")
+    assert (rc, out, err) == (3, "", "internal error: forced")
 
 
 def test_verify_round_trip(capsys):

@@ -264,22 +264,21 @@ def test_breadth_first_visits_level_by_level(monkeypatch, spill):
     # with levels moved into memory maps after `spill` words (or not at all)
     monkeypatch.setattr(extend, "_SPILL", spill)
     for u, depth, letters in (("", 9, "ab"), ("abaab", 12, "ab"), ("ab", 5, "abc"), (SHORTEST_DEAD, 9, "ab")):
-        children = extend._right_contexts(u, depth, letters)
-        seen = list(extend._breadth_first("", children))
+        seen = list(extend._breadth_first(u, depth, letters))
         expected, level = [""], [""]
         while level:
-            level = [child for w in level for child in children(w)]
+            level = [child for w in level for child in extend._children(u, w, depth, letters)]
             expected += level
         assert seen == expected
         first = next((w for w in expected if len(w) == 4), None)
-        assert next((w for w in extend._breadth_first("", children) if len(w) == 4), None) == first
+        assert next((w for w in extend._breadth_first(u, depth, letters) if len(w) == 4), None) == first
 
 
 
 def test_depth_first_visits_the_oracle_tree_order():
     # the oracle's walker is the independent reference for the same order
     for u, depth, letters in (("", 9, "ab"), ("abaab", 12, "ab"), (SHORTEST_DEAD, 9, "ab"), ("ab", 5, "abc"), ("abcab", 4, "abcd")):
-        walked = list(extend._depth_first("", extend._right_contexts(u, depth, letters)))
+        walked = list(extend._depth_first(u, depth, letters))
         assert walked == list(oracle._contexts_in_tree_order(u, letters, depth)), (u, depth, letters)
 
 def test_algorithm2_does_not_reverify_the_verdict_certificate(monkeypatch):
