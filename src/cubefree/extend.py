@@ -420,7 +420,7 @@ def _uniform_context_tail(u: str, w: str) -> TailCertificate:
 
 
 def _stays_uniform(q: str, x: str) -> bool:
-    """Does the uniform word q + x stay uniform, free of the prefixes
+    """For a uniform q: is q + x uniform and free of the prefixes
     ababa/babab?  The doubled letters of a uniform word all end at one
     position parity, so a new one need only match the first found."""
     if q[-1:] == x:
