@@ -197,13 +197,26 @@ def _children(s: str, w: str, depth: int | None, alphabet: str, keep: _Keep = No
                 yield w + x
 
 
-def _depth_first(s: str, depth: int | None, alphabet: str = "ab", keep: _Keep = None) -> Iterator[str]:
+def _depth_first(
+    s: str, depth: int | None, alphabet: str = "ab", keep: _Keep = None, after: str | None = None
+) -> Iterator[str]:
     """The right contexts of s (see _children), the empty one first, in
     depth-first lexicographic order.  A node's children are made only when
     the walk resumes past it, so a caller that stops at a node expands
     nothing beyond it; the explicit stack bounds the depth by memory, not
-    by the interpreter's recursion limit."""
-    stack = [iter(("",))]
+    by the interpreter's recursion limit.
+
+    after, a node of this walk, resumes it just past that node: the stack
+    starts as the full walk's stack stands once it has yielded after, with
+    the later siblings of each node on after's path, then after's children.
+    The walk yields exactly the contexts that sort after it, and makes no
+    node before it again."""
+    if after is None:
+        stack = [iter(("",))]
+    else:
+        # one _children call per level binds that level's prefix and letters now
+        stack = [_children(s, after[:i], depth, alphabet[alphabet.index(x) + 1 :], keep) for i, x in enumerate(after)]
+        stack.append(_children(s, after, depth, alphabet, keep))
     while stack:
         w = next(stack[-1], None)
         if w is None:
@@ -213,9 +226,10 @@ def _depth_first(s: str, depth: int | None, alphabet: str = "ab", keep: _Keep = 
         stack.append(_children(s, w, depth, alphabet, keep))
 
 
-def _contexts_of_length(s: str, k: int, keep: _Keep = None) -> Iterator[str]:
-    """The binary right contexts of s of length exactly k, in lexicographic order."""
-    return (w for w in _depth_first(s, k, "ab", keep) if len(w) == k)
+def _contexts_of_length(s: str, k: int, keep: _Keep = None, after: str | None = None) -> Iterator[str]:
+    """The binary right contexts of s of length exactly k, in lexicographic
+    order; only those past after, if given (see _depth_first)."""
+    return (w for w in _depth_first(s, k, "ab", keep, after) if len(w) == k)
 
 
 # words of a breadth-first level moved into one memory map at a time
@@ -316,34 +330,41 @@ def t_extend_uniform(u: str) -> TailCertificate:
     right_aligned = analysis.is_right_aligned(u)
     if not any(_contexts_of_length(u, 3)) and not (right_aligned and any(_contexts_of_length(u, 2))):
         raise ValueError(f"{u!r} has no qualifying short right context")
+    cert = _uniform_tail(u)
+    if cert is None:
+        step = "b" if u[-1] == "a" else "a"
+        raise RuntimeError(f"alignment step letter {step!r} is blocked for {u!r}")
+    return cert._checked(u)
 
+
+def _uniform_tail(u: str) -> TailCertificate | None:
+    """t_extend_uniform's construction, unchecked: a candidate certificate
+    for the uniform cube-free word u, or None where the alignment step
+    letter is blocked.  It never raises; a caller verifies what it gets."""
     n = len(u)
     if thue_morse.tm_prefix(n) == u:
-        cert = TailCertificate("", n + 1, 0, tm_aligned=True)
-    elif right_aligned and n >= 2:
-        cert = TailCertificate("", _tail_start(u, prefer_tm=False), 0)
-    elif n >= 3 and analysis.is_right_aligned(u[:-1]):
+        return TailCertificate("", n + 1, 0, tm_aligned=True)
+    if n >= 2 and analysis.is_right_aligned(u):
+        return TailCertificate("", _tail_start(u, prefer_tm=False), 0)
+    if n >= 3 and analysis.is_right_aligned(u[:-1]):
         last = u[-1]
         block = u[-3:-1]  # last complete block of the aligned core u[:-1]
         if last == "a" and block == "ab":
             # the trailing letter is absorbed by the tail: a + T[7..] = T[6..]
-            cert = TailCertificate("", 7, 0)
-        elif last == "b" and block == "ba":
+            return TailCertificate("", 7, 0)
+        if last == "b" and block == "ba":
             # mirror absorption: b + T[23..] = T[22..]
-            cert = TailCertificate("", 23, 0)
-        else:
-            # the trailing letter breaks alignment the wrong way: one more
-            # letter restores alignment (the alternative letter cubes out)
-            step = "b" if last == "a" else "a"
-            if not words.extension_is_cube_free(u, step):
-                raise RuntimeError(f"alignment step letter {step!r} is blocked for {u!r}")
-            cert = TailCertificate(step, _tail_start(u + step, prefer_tm=False), 0)
-    else:
-        # tiny leftovers ("b", "aa", "bb"): every short uniform cube-free
-        # word occurs in T, so continue T from its first occurrence
-        i = thue_morse.find_occurrence_after(u, 1)
-        cert = TailCertificate("", i + n, 0, tm_aligned=True)
-    return cert._checked(u)
+            return TailCertificate("", 23, 0)
+        # the trailing letter breaks alignment the wrong way: one more
+        # letter restores alignment (the alternative letter cubes out)
+        step = "b" if last == "a" else "a"
+        if not words.extension_is_cube_free(u, step):
+            return None
+        return TailCertificate(step, _tail_start(u + step, prefer_tm=False), 0)
+    # tiny leftovers ("b", "aa", "bb"): every short uniform cube-free word
+    # occurs in T, so continue T from its first occurrence
+    i = thue_morse.find_occurrence_after(u, 1)
+    return TailCertificate("", i + n, 0, tm_aligned=True)
 
 
 class _ConstructionMiss(Exception):
@@ -432,10 +453,11 @@ def _stays_uniform(q: str, x: str) -> bool:
     return len(q) != 4 or q + x not in _BAD_PREFIXES
 
 
-def _uniform_contexts(s: str) -> Iterator[str]:
+def _uniform_contexts(s: str, after: str | None = None) -> Iterator[str]:
     """The uniform cube-free right contexts of s of length 2|s| + 3 with no
-    forbidden prefix, in lexicographic order."""
-    return _contexts_of_length(s, 2 * len(s) + 3, _stays_uniform)
+    forbidden prefix, in lexicographic order; only those past after, one
+    of them, if given."""
+    return _contexts_of_length(s, 2 * len(s) + 3, _stays_uniform, after)
 
 
 # The context walk is a pure function of s, and algorithm2's stage two asks
@@ -449,13 +471,20 @@ def _first_uniform_context(s: str) -> str | None:
 def _extends_right(s: str, q: str) -> bool:
     """Is s + q right extendable over {a,b}, for a uniform context q of s?
 
-    A certificate built from q's T-tail alone, q or q[1:] continued in T,
-    settles most yes answers with one verification; the full decision
-    settles the rest.  A shortcut yes is not memoized, so _verdicts holds
-    only what _decide_right computes."""
+    Two certificate tries run first, each on the tails q and q[1:] of the
+    word: one continues the tail straight into T, and one is the uniform
+    construction of t_extend_uniform (_uniform_tail) built on the tail.
+    Each candidate is verified once on s + q; one that fails verification
+    is a miss, never an error.  The full decision runs only when all four
+    miss.  A certified yes is not memoized, so _verdicts holds only what
+    _decide_right computes."""
     word = s + q
     for tail in (q, q[1:]):
         if TailCertificate("", _tail_start(tail, prefer_tm=True), len(word) - len(tail)).verify(word):
+            return True
+    for tail in (q, q[1:]):
+        sub = _uniform_tail(tail)
+        if sub is not None and TailCertificate(sub.Y, sub.r, len(word) - len(tail) + sub.seam).verify(word):
             return True
     return _decide_right(word, 2).extendable
 
@@ -463,11 +492,11 @@ def _extends_right(s: str, q: str) -> bool:
 def _extendable_uniform_context(s: str) -> str | None:
     """First uniform context q of s of length 2|s| + 3 with s + q right
     extendable.  The first context of all, already known, is tested first;
-    on a miss the walk goes on past it."""
+    on a miss the walk resumes past it."""
     q0 = _first_uniform_context(s)
     if q0 is None or _extends_right(s, q0):
         return q0
-    return next((q for q in _uniform_contexts(s) if q > q0 and _extends_right(s, q)), None)
+    return next((q for q in _uniform_contexts(s, q0) if _extends_right(s, q)), None)
 
 
 def _binary_suffix(s: str) -> str:

@@ -64,6 +64,23 @@ def test_t_extend_uniform_coverage():
     assert n_cases > 200
 
 
+def test_uniform_tail_is_the_construction_of_t_extend_uniform():
+    # the unchecked construction stage two tries is the public one, and on
+    # a word the public one rejects it returns, never raises
+    accepted = 0
+    for u in oracle.iter_cube_free(2, 18):
+        if not analysis.is_uniform(u):
+            continue
+        try:
+            cert = t_extend_uniform(u)
+        except ValueError:
+            extend._uniform_tail(u)
+            continue
+        assert extend._uniform_tail(u) == cert, u
+        accepted += 1
+    assert accepted == 1418
+
+
 def test_t_extend_uniform_tiny_words():
     for u in ("", "a", "b", "aa", "bb", "ab", "ba"):
         cert = t_extend_uniform(u)
@@ -382,6 +399,60 @@ def test_a_failing_first_context_is_tested_once(monkeypatch):
     assert not extends(u, q0)
     assert tested.count((u, q0)) == 1
 
+
+def test_stage_two_makes_no_nested_yes_decision(monkeypatch):
+    # a yes for s + q comes from a certificate tried on q's tails; only a
+    # dead s + q still runs the full decision
+    extendable = []
+    for u in oracle.iter_cube_free(2, 14):
+        extend.clear_caches()
+        if extend._decide_right(u, 2).extendable:
+            extendable.append(u)
+    assert len(extendable) == 1688
+    decide = extend._decide_right
+    extends = extend._extends_right
+    inside, nested_yes = [], []
+
+    def tracked_extends(s, q):
+        inside.append(q)
+        try:
+            return extends(s, q)
+        finally:
+            inside.pop()
+
+    def tracked_decide(u, d):
+        verdict = decide(u, d)
+        if inside and verdict.extendable:
+            nested_yes.append(u)
+        return verdict
+
+    monkeypatch.setattr(extend, "_extends_right", tracked_extends)
+    monkeypatch.setattr(extend, "_decide_right", tracked_decide)
+    for u in extendable:
+        extend.clear_caches()
+        assert algorithm2(u, 2).verify(u), u
+    assert nested_yes == []
+
+
+def test_baaba_is_certified_without_deciding_its_first_context(monkeypatch):
+    # the shortest word whose first context once took a nested yes decision
+    decided = []
+    decide = extend._decide_right
+    monkeypatch.setattr(extend, "_decide_right", lambda u, d: decided.append(u) or decide(u, d))
+    extend.clear_caches()
+    assert algorithm2("baaba").verify("baaba")
+    q0 = extend._first_uniform_context("baaba")
+    assert q0 is not None and "baaba" + q0 not in decided
+
+
+def test_a_dead_first_context_work_counts(append_checks):
+    # the resumed walk makes no node before q0 again, and a later context
+    # is certified without a decision: 87-101 calls before, 51-58 after
+    for u, bound in zip(FIRST_CONTEXT_DIES, (51, 52, 55, 55, 58)):
+        n, cert = append_checks(lambda: algorithm2(u, 2))
+        assert cert.verify(u)
+        assert n <= bound, (u, n)
+
 def test_a_certified_context_is_not_memoized(monkeypatch):
     # a yes from the shortcut certificate adds no verdict; only what
     # _decide_right computes is memoized
@@ -573,6 +644,27 @@ def _uniform_reference(s):
 def test_uniform_contexts_match_the_oracle_tree():
     for s in [""] + list(oracle.iter_cube_free(2, 7)):
         assert list(extend._uniform_contexts(s)) == _uniform_reference(s), s
+
+
+def test_a_resumed_uniform_walk_yields_the_contexts_past_its_start():
+    # each level of the resumed stack must keep its own prefix and letters
+    resumed = 0
+    for s in [""] + list(oracle.iter_cube_free(2, 7)):
+        contexts = list(extend._uniform_contexts(s))
+        for q in contexts:
+            assert list(extend._uniform_contexts(s, q)) == [x for x in contexts if x > q], (s, q)
+            resumed += 1
+    assert resumed == 5492
+
+
+def test_a_resumed_walk_makes_only_the_nodes_past_its_start(append_checks):
+    # the first context's walk and the walk resumed past it together make
+    # exactly the nodes of one full walk
+    for s in (FIRST_CONTEXT_DIES[0], "abbabaab", "bbababbabbaa"):
+        first, q0 = append_checks(lambda: next(extend._uniform_contexts(s)))
+        rest, _ = append_checks(lambda: list(extend._uniform_contexts(s, q0)))
+        full, _ = append_checks(lambda: list(extend._uniform_contexts(s)))
+        assert first + rest == full, s
 
 
 def test_uniform_context_walk_work_counts(append_checks):
