@@ -104,6 +104,29 @@ def test_t_extend_with_uniform_context_examples():
         t_extend_with_uniform_context("aa", "abbabaab")  # aaa
 
 
+def _uniform_attachments():
+    """(u, q, k) for every binary cube-free u of at most 12 letters whose
+    first uniform context q keeps u + q[:k] uniform at the first
+    right-aligned consumed length k: the tail attachment's uniform branch."""
+    cases = []
+    for u in ["", *oracle.iter_cube_free(2, 12)]:
+        q = extend._first_uniform_context(u)
+        if q is None:
+            continue
+        k = next(k for k in (2 * len(u), 2 * len(u) + 1) if analysis.is_right_aligned(q[:k]))
+        if analysis.is_uniform(u + q[:k]):
+            cases.append((u, q, k))
+    return cases
+
+
+def test_uniform_context_tail_uniform_branch_is_t_extend_uniform():
+    cases = _uniform_attachments()
+    assert len(cases) == 100
+    for u, q, k in cases:
+        t = t_extend_uniform(u + q[:k])
+        assert t_extend_with_uniform_context(u, q) == TailCertificate(q[:k] + t.Y, t.r, t.seam, t.tm_aligned), u
+
+
 def test_certificate_verify_rejects_tampering():
     cert = t_extend_uniform("abab")
     assert not TailCertificate(cert.Y, cert.r + 1, cert.seam).verify("abab")
