@@ -330,70 +330,75 @@ def t_extend_uniform(u: str) -> TailCertificate:
     right_aligned = analysis.is_right_aligned(u)
     if not any(_contexts_of_length(u, 3)) and not (right_aligned and any(_contexts_of_length(u, 2))):
         raise ValueError(f"{u!r} has no qualifying short right context")
-    cert = _uniform_tail(u)
+    cert = _uniform_tail(u, 0)
     if cert is None:
         step = "b" if u[-1] == "a" else "a"
         raise RuntimeError(f"alignment step letter {step!r} is blocked for {u!r}")
     return cert._checked(u)
 
 
-def _uniform_tail(u: str) -> TailCertificate | None:
-    """t_extend_uniform's construction, unchecked: a candidate certificate
-    for the uniform cube-free word u, or None where the alignment step
-    letter is blocked.  It never raises; a caller verifies what it gets."""
+# The candidate builders: each returns an unchecked certificate for word
+# whose T-tail is built on the tail word[start:].  They never raise; where
+# a construction has no candidate it gives None or a certificate that
+# verify rejects, and the caller that decides on a candidate verifies it
+# once.
+
+
+def _uniform_tail(word: str, start: int) -> TailCertificate | None:
+    """t_extend_uniform's construction on the uniform cube-free tail
+    word[start:]; None where the alignment step letter is blocked."""
+    u = word[start:]
     n = len(u)
     if thue_morse.tm_prefix(n) == u:
-        return TailCertificate("", n + 1, 0, tm_aligned=True)
+        return TailCertificate("", n + 1, start, tm_aligned=start == 0)
     if n >= 2 and analysis.is_right_aligned(u):
-        return TailCertificate("", _tail_start(u, prefer_tm=False), 0)
+        return TailCertificate("", _tail_start(u, prefer_tm=False), start)
     if n >= 3 and analysis.is_right_aligned(u[:-1]):
         last = u[-1]
         block = u[-3:-1]  # last complete block of the aligned core u[:-1]
         if last == "a" and block == "ab":
             # the trailing letter is absorbed by the tail: a + T[7..] = T[6..]
-            return TailCertificate("", 7, 0)
+            return TailCertificate("", 7, start)
         if last == "b" and block == "ba":
             # mirror absorption: b + T[23..] = T[22..]
-            return TailCertificate("", 23, 0)
+            return TailCertificate("", 23, start)
         # the trailing letter breaks alignment the wrong way: one more
         # letter restores alignment (the alternative letter cubes out)
         step = "b" if last == "a" else "a"
         if not words.extension_is_cube_free(u, step):
             return None
-        return TailCertificate(step, _tail_start(u + step, prefer_tm=False), 0)
+        return TailCertificate(step, _tail_start(u + step, prefer_tm=False), start)
     # tiny leftovers ("b", "aa", "bb"): every short uniform cube-free word
     # occurs in T, so continue T from its first occurrence
     i = thue_morse.find_occurrence_after(u, 1)
-    return TailCertificate("", i + n, 0, tm_aligned=True)
+    return TailCertificate("", i + n, start, tm_aligned=start == 0)
 
 
-class _ConstructionMiss(Exception):
-    pass
+def _t_tail(word: str, start: int) -> TailCertificate:
+    """The tail word[start:] continued straight into T (see _tail_start)."""
+    return TailCertificate("", _tail_start(word[start:], prefer_tm=True), start)
 
 
-def _attach_tail(u: str, consumed: str) -> TailCertificate:
+def _attach_tail(u: str, consumed: str) -> TailCertificate | None:
+    """Verified certificate for u whose Y begins with consumed, a
+    right-aligned prefix of a uniform context of u; None on a miss.  A
+    uniform u + consumed takes the uniform construction whole; otherwise
+    the word is re-split at its rightmost marker, whose first letter ends
+    the new stem, and a long right-aligned rest continues into T."""
     s = u + consumed
     if analysis.is_uniform(s):
-        try:
-            sub = t_extend_uniform(s)
-        except ValueError as exc:
-            raise _ConstructionMiss(str(exc))
-        # u + consumed + sub.Y is s + sub.Y, which t_extend_uniform verified
-        return TailCertificate(consumed + sub.Y, sub.r, sub.seam, sub.tm_aligned)
-    marks = analysis.scan_markers(s)
-    if not marks:
-        raise _ConstructionMiss("non-uniform word without markers")
-    z = marks[-1]
-    if z.position > len(u):
-        raise _ConstructionMiss("rightmost marker does not begin in the stem")
-    split = z.position  # the new stem ends with the marker's first letter
-    tail = s[split:]
-    if not analysis.is_right_aligned(tail) or len(tail) < 2 * split:
-        raise _ConstructionMiss("re-split tail is not a long right-aligned context")
-    cert = TailCertificate(consumed, _tail_start(tail, prefer_tm=True), split)
-    if not cert.verify(u):
-        raise _ConstructionMiss("the tail start at the marker re-split fails verification")
-    return cert
+        cert = _uniform_tail(s, 0)
+    else:
+        marks = analysis.scan_markers(s)
+        if not marks:
+            return None
+        split = marks[-1].position
+        if split > len(u) or not analysis.is_right_aligned(s[split:]) or len(s) - split < 2 * split:
+            return None
+        cert = _t_tail(s, split)
+    if cert is None or not cert.verify(s):
+        return None
+    return TailCertificate(consumed + cert.Y, cert.r, cert.seam, cert.tm_aligned)
 
 
 def t_extend_with_uniform_context(u: str, w: str) -> TailCertificate:
@@ -410,34 +415,27 @@ def t_extend_with_uniform_context(u: str, w: str) -> TailCertificate:
     words.validate_word(u + w, 2)
     if not words.is_cube_free(u + w):
         raise ValueError("w must be a right context of u")
-    return _uniform_context_tail(u, w)
-
-
-# The construction is a pure function of (u, w), binary and cube-free by the
-# callers' append_check walks.  Remembering recent results lets algorithm2
-# reuse the certificate its extendability decision has already verified.
-@functools.lru_cache(maxsize=64)
-def _uniform_context_tail(u: str, w: str) -> TailCertificate:
     if not analysis.is_uniform(w):
         raise ValueError("w must be uniform")
     if len(w) < 2 * len(u) + 3:
         raise ValueError(f"context too short: need length >= {2 * len(u) + 3}")
     if w[:5] in _BAD_PREFIXES:
         raise ValueError("context must not begin with ababa or babab")
+    return _uniform_context_tail(u, w)
 
-    candidates = [k for k in (2 * len(u), 2 * len(u) + 1) if analysis.is_right_aligned(w[:k])]
-    if not candidates:
-        raise RuntimeError(
-            f"internal error: uniform context {w!r} has no right-aligned prefix "
-            f"of length {2 * len(u)} or {2 * len(u) + 1}"
-        )
-    misses = []
-    for k in candidates:
-        try:
-            return _attach_tail(u, w[:k])
-        except _ConstructionMiss as miss:
-            misses.append(str(miss))
-    raise RuntimeError(f"tail attachment failed for {u!r} with context {w!r}: {misses}")
+
+# The construction is a pure function of (u, w), and its callers hand it a
+# uniform context that _uniform_contexts or t_extend_with_uniform_context
+# has checked.  Remembering recent results lets algorithm2 reuse the
+# certificate its extendability decision has already verified.
+@functools.lru_cache(maxsize=64)
+def _uniform_context_tail(u: str, w: str) -> TailCertificate:
+    for k in (2 * len(u), 2 * len(u) + 1):
+        if analysis.is_right_aligned(w[:k]):
+            cert = _attach_tail(u, w[:k])
+            if cert is not None:
+                return cert
+    raise RuntimeError(f"internal error: no tail attaches to {u!r} with uniform context {w!r}")
 
 
 def _stays_uniform(q: str, x: str) -> bool:
@@ -471,21 +469,17 @@ def _first_uniform_context(s: str) -> str | None:
 def _extends_right(s: str, q: str) -> bool:
     """Is s + q right extendable over {a,b}, for a uniform context q of s?
 
-    Two certificate tries run first, each on the tails q and q[1:] of the
-    word: one continues the tail straight into T, and one is the uniform
-    construction of t_extend_uniform (_uniform_tail) built on the tail.
-    Each candidate is verified once on s + q; one that fails verification
-    is a miss, never an error.  The full decision runs only when all four
-    miss.  A certified yes is not memoized, so _verdicts holds only what
-    _decide_right computes."""
+    Two candidate builders run first, each on the tails q and q[1:] of the
+    word: _t_tail, then _uniform_tail.  Each candidate is verified once on
+    s + q; one that fails verification is a miss, never an error.  The full
+    decision runs only when all four miss.  A certified yes is not
+    memoized, so _verdicts holds only what _decide_right computes."""
     word = s + q
-    for tail in (q, q[1:]):
-        if TailCertificate("", _tail_start(tail, prefer_tm=True), len(word) - len(tail)).verify(word):
-            return True
-    for tail in (q, q[1:]):
-        sub = _uniform_tail(tail)
-        if sub is not None and TailCertificate(sub.Y, sub.r, len(word) - len(tail) + sub.seam).verify(word):
-            return True
+    for build in (_t_tail, _uniform_tail):
+        for start in (len(s), len(s) + 1):
+            cert = build(word, start)
+            if cert is not None and cert.verify(word):
+                return True
     return _decide_right(word, 2).extendable
 
 

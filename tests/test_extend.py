@@ -65,8 +65,9 @@ def test_t_extend_uniform_coverage():
 
 
 def test_uniform_tail_is_the_construction_of_t_extend_uniform():
-    # the unchecked construction stage two tries is the public one, and on
-    # a word the public one rejects it returns, never raises
+    # the unchecked construction that stage two and the tail attachment
+    # build on is the public one, and on a word the public one rejects it
+    # returns, never raises
     accepted = 0
     for u in oracle.iter_cube_free(2, 18):
         if not analysis.is_uniform(u):
@@ -74,9 +75,9 @@ def test_uniform_tail_is_the_construction_of_t_extend_uniform():
         try:
             cert = t_extend_uniform(u)
         except ValueError:
-            extend._uniform_tail(u)
+            extend._uniform_tail(u, 0)
             continue
-        assert extend._uniform_tail(u) == cert, u
+        assert extend._uniform_tail(u, 0) == cert, u
         accepted += 1
     assert accepted == 1418
 
@@ -125,6 +126,25 @@ def test_uniform_context_tail_uniform_branch_is_t_extend_uniform():
     for u, q, k in cases:
         t = t_extend_uniform(u + q[:k])
         assert t_extend_with_uniform_context(u, q) == TailCertificate(q[:k] + t.Y, t.r, t.seam, t.tm_aligned), u
+
+
+def test_tail_attachment_makes_no_full_cube_scan(monkeypatch):
+    # the consumed word is a prefix of the cube-free u + w, so only verify
+    # looks for cubes, and it scans from inside u + Y alone (_before)
+    cases = _uniform_attachments()
+    extend.clear_caches()
+    full_scans = []
+    find_cube = words.find_cube
+
+    def counted(w, **kw):
+        if kw.get("_before") is None:
+            full_scans.append(w)
+        return find_cube(w, **kw)
+
+    monkeypatch.setattr(words, "find_cube", counted)
+    for u, q, _ in cases:
+        extend._uniform_context_tail(u, q)
+    assert full_scans == []
 
 
 def test_certificate_verify_rejects_tampering():

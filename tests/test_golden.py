@@ -30,3 +30,21 @@ def test_cli_json_matches_the_golden_corpus():
 def test_the_golden_corpus_covers_every_transition_method():
     methods = {json.loads(case["stdout"]).get("method") for case in CORPUS if case["argv"][0] == "transition"}
     assert {"direct-context", "exhausted", "theorem"} <= methods
+
+
+def test_every_golden_yes_verifies(monkeypatch):
+    # each certificate or witness a yes answer prints, piped into verify
+    yes = [
+        case
+        for case in CORPUS
+        if case["exit"] == 0
+        and case["argv"][0] in ("extend", "extendable", "transition")
+        and "heuristic" not in json.loads(case["stdout"])
+    ]
+    assert len(yes) == 34
+    for case in yes:
+        monkeypatch.setattr("sys.stdin", io.StringIO(case["stdout"]))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["verify", "-"])
+        assert (code, out.getvalue()) == (0, "valid\n"), case["argv"]
