@@ -57,39 +57,18 @@ def _cmd_check(args) -> int:
 
 def _cmd_extendable(args) -> int:
     w = args.word
-    d = words.validate_word(w, args.alphabet)
-    base = w if args.side == "right" else words.reverse(w)
-    if args.assume_context_bound is not None:
-        return _probe_extendable(args, w, base, d)
     decide = extend.is_right_extendable if args.side == "right" else extend.is_left_extendable
-    verdict = decide(w, d)
+    verdict = decide(w, args.alphabet)
     if verdict.extendable:
         cert = verdict.certificate
-        payload = {"word": w, "side": args.side, "extendable": True, **_tail_fields(cert, base)}
+        payload = {"word": w, "side": args.side, "extendable": True, **_tail_fields(cert, w)}
         _emit(
             args,
             payload,
             [f"yes ({args.side}-extendable)", json.dumps({"Y": cert.Y, "r": cert.r}, sort_keys=True)],
         )
         return 0
-    return _emit_not_extendable(args, w, verdict.max_context_length)
-
-
-def _probe_extendable(args, w: str, base: str, d: int) -> int:
-    """--assume-context-bound B: the oracle's survival probe, which counts
-    any context of length B as a yes (no certificate); exhaustion below B
-    is still an exact no."""
-    if not words.is_cube_free(w):
-        raise ValueError(f"{w!r} contains a cube")
-    report = oracle.context_tree(base, args.assume_context_bound, d=d)
-    if report.exhausted:
-        return _emit_not_extendable(args, w, report.max_depth)
-    payload = {"word": w, "side": args.side, "extendable": True, "heuristic": True}
-    _emit(args, payload, [f"yes ({args.side}-extendable, heuristic: no certificate)"])
-    return 0
-
-
-def _emit_not_extendable(args, w: str, exhausted_at: int | None) -> int:
+    exhausted_at = verdict.max_context_length
     payload = {"word": w, "side": args.side, "extendable": False, "exhausted_at": exhausted_at}
     _emit(args, payload, ["no", json.dumps({"exhausted_at": exhausted_at}, sort_keys=True)])
     return 1
@@ -226,7 +205,7 @@ def _cmd_verify(args) -> int:
             raise ValueError('side must be "right" or "left"')
         if {"u", "v", "witness"} <= set(data):
             ok = words.is_cube_free(data["u"] + data["witness"] + data["v"])
-            payload = {"valid": bool(ok), "kind": "transition", **data}
+            payload = {**data, "valid": bool(ok), "kind": "transition"}
         elif {"word", "Y", "r"} <= set(data):
             base = data["word"]
             if data.get("side") == "left":
@@ -237,7 +216,7 @@ def _cmd_verify(args) -> int:
             seam = data.get("seam", len(base + data["Y"]))
             cert = extend.TailCertificate(data["Y"], data["r"], seam, data.get("tm_aligned", False))
             ok = cert.verify(base)  # scans base + Y + T[r..], which starts with base
-            payload = {"valid": bool(ok), "kind": "tail", **data}
+            payload = {**data, "valid": bool(ok), "kind": "tail"}
         else:
             raise ValueError('certificate must carry {"word","Y","r"} or {"u","v","witness"}')
     except (TypeError, ValueError) as exc:
@@ -267,13 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("side", choices=("right", "left"))
     p.add_argument("word")
     p.add_argument("--alphabet", type=int, default=None)
-    p.add_argument(
-        "--assume-context-bound",
-        type=int,
-        default=None,
-        metavar="B",
-        help="heuristic: treat any context of length B as a yes (no certificate)",
-    )
 
     p = add("extend", _cmd_extend, "construct an explicit infinite right context (Y, r)")
     p.add_argument("word")

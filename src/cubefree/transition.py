@@ -86,19 +86,13 @@ def transition_exists(u: str, v: str, d: int | None = None) -> TransitionResult:
     certified extendability decisions settle the question: if u cannot
     grow right or v cannot grow left, that endpoint's finite context tree
     is scanned in full, and finding no witness there answers EXHAUSTED; if
-    both can, a witness is constructed through the Thue-Morse word.  A
-    dead u with no context longer than |v| + 4 is not scanned again: the
-    bounded search has already seen its whole tree.
+    both can, a witness is constructed through the Thue-Morse word.
     """
     d = _validated_pair(u, v, d)
     ctx = _direct_right(u, v, d, len(v) + 4)
     if ctx is None:
-        right = extend._decide_right(u, d)
-        if not right.extendable:
-            # u's tree is finite: scan it all, unless the bounded search
-            # has already seen every context in it
-            if (right.max_context_length or 0) > len(v) + 4:
-                ctx = _direct_right(u, v, d, None)
+        if not extend._decide_right(u, d).extendable:
+            ctx = _direct_right(u, v, d, None)  # u's tree is finite: scan it all
         elif not extend._decide_right(words.reverse(v), d).extendable:
             left = _direct_left(u, v, d)  # v's tree is finite: scan it all
             ctx = None if left is None else left[len(u) :] + v

@@ -59,18 +59,12 @@ def test_extendable_rejects_cubes(capsys):
     assert err.strip() == "error: 'aaa' contains a cube"
     rc, _, err = run(capsys, "extendable", "left", "abbb")
     assert rc == 2 and err == "error: 'abbb' contains a cube"
-    rc, _, err = run(capsys, "extendable", "left", "abbb", "--assume-context-bound", "3")
-    assert rc == 2 and err == "error: 'abbb' contains a cube"
 
 
-def test_extendable_context_bound(capsys):
-    rc, out, _ = run(capsys, "extendable", "right", "ab", "--assume-context-bound", "5")
-    assert rc == 0 and out == "yes (right-extendable, heuristic: no certificate)"
-    # the probe walks with an explicit stack, so a deep bound does not recurse
-    rc, out, _ = run(capsys, "extendable", "right", "ab", "--assume-context-bound", "1500", "--json")
-    assert rc == 0 and json.loads(out)["heuristic"] is True
-    rc, _, err = run(capsys, "extendable", "right", "ab", "--assume-context-bound", "-1")
-    assert rc == 2 and err.startswith("error: ")
+def test_extendable_has_no_uncertified_mode(capsys):
+    # every yes carries a certificate: no option answers from a survival probe
+    rc, out, err = run(capsys, "extendable", "right", "ab", "--assume-context-bound", "5")
+    assert rc == 2 and out == "" and "unrecognized arguments" in err
 
 
 def test_extend(capsys):
@@ -229,6 +223,20 @@ def test_verify_round_trip(capsys):
 
     rc, _, _ = run(capsys, "verify", "not json {")
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "certificate, kind",
+    [
+        ('{"u":"a","v":"a","witness":"aa","valid":true}', "transition"),
+        ('{"word":"aaa","Y":"","r":1,"valid":true,"kind":"transition"}', "tail"),
+    ],
+)
+def test_verify_reports_the_verdict_it_computed(capsys, certificate, kind):
+    # a "valid" or "kind" key of the input is checked again, never echoed
+    rc, out, _ = run(capsys, "verify", certificate, "--json")
+    data = json.loads(out)
+    assert rc == 1 and data["valid"] is False and data["kind"] == kind
 
 
 @pytest.mark.parametrize(

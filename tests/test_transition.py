@@ -220,15 +220,15 @@ def test_transition_with_dead_endpoint():
     assert r.exists == (_brute_transition("b", DEAD, 2, 12) is not None)
 
 
-def test_a_dead_u_seen_whole_by_the_bounded_search_is_not_scanned_again(monkeypatch):
-    # DEAD's contexts are at most 0 letters long, within any bounded search
+def test_a_dead_u_is_always_scanned_whole(monkeypatch):
+    # no bounded search decides a dead u: its finite tree is scanned in full
     depths = []
     direct = transition._direct_right
     monkeypatch.setattr(transition, "_direct_right", lambda u, v, d, depth: depths.append(depth) or direct(u, v, d, depth))
     for v in ("a", "ab", "abba"):
         depths.clear()
         assert transition_exists(DEAD, v) == TransitionResult(False, None, TransitionMethod.EXHAUSTED)
-        assert depths == [len(v) + 4]
+        assert depths == [len(v) + 4, None]
 
 
 def test_a_binary_pair_is_decided_over_the_alphabet_asked_for():
