@@ -128,8 +128,6 @@ def factorize(w: str) -> MarkerFactorization:
     for m in marks:
         segments.append(w[start : m.end])
         start = m.end
-    if "".join(segments) != w:
-        raise RuntimeError(f"internal error: segments {segments} do not rebuild {w!r}")
     return MarkerFactorization(w, tuple(segments), tuple(marks))
 
 

@@ -469,17 +469,16 @@ def _first_uniform_context(s: str) -> str | None:
 def _extends_right(s: str, q: str) -> bool:
     """Is s + q right extendable over {a,b}, for a uniform context q of s?
 
-    Two candidate builders run first, each on the tails q and q[1:] of the
-    word: _t_tail, then _uniform_tail.  Each candidate is verified once on
-    s + q; one that fails verification is a miss, never an error.  The full
-    decision runs only when all four miss.  A certified yes is not
-    memoized, so _verdicts holds only what _decide_right computes."""
+    Two candidate builders run first on the tail q of the word: _t_tail,
+    then _uniform_tail.  Each candidate is verified once on s + q; one that
+    fails verification is a miss, never an error.  The full decision runs
+    only when both miss.  A certified yes is not memoized, so _verdicts
+    holds only what _decide_right computes."""
     word = s + q
     for build in (_t_tail, _uniform_tail):
-        for start in (len(s), len(s) + 1):
-            cert = build(word, start)
-            if cert is not None and cert.verify(word):
-                return True
+        cert = build(word, len(s))
+        if cert is not None and cert.verify(word):
+            return True
     return _decide_right(word, 2).extendable
 
 
@@ -532,8 +531,6 @@ def _node_certificate(s: str, d: int) -> TailCertificate | None:
         return None
     s2, w, sub = hit
     cert2 = sub.certificate
-    if cert2 is None:
-        raise RuntimeError(f"internal error: extendable verdict without certificate for {s2 + w!r}")
     seam = len(s) - len(s2) + cert2.seam
     return TailCertificate(w + cert2.Y, cert2.r, seam, tm_aligned=False)._checked(s)
 

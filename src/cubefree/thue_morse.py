@@ -103,10 +103,7 @@ def find_occurrence_after(pattern: str, start: int) -> int:
     idx = window.find(pattern, start - 1)
     if idx == -1 or idx + 1 > cap:
         raise ValueError(f"{pattern!r} is not a Thue-Morse factor (searched up to position {cap})")
-    i = idx + 1
-    if tm_range(i, i + len(pattern) - 1) != pattern:
-        raise RuntimeError(f"internal error: T[{i}..] does not start with {pattern!r}")
-    return i
+    return idx + 1
 
 
 def splice_pattern(u1: str, v1r: str) -> str:
@@ -114,13 +111,9 @@ def splice_pattern(u1: str, v1r: str) -> str:
 
     Policy: take the first occurrence of u1, then the first occurrence of
     v1r starting at least one position past its end; the returned word is
-    the whole T-range between them, so it is a factor of T by construction
-    (and re-verified).  Raises ValueError if either input is not a factor.
+    the whole T-range between them, so it is a factor of T by construction.
+    Raises ValueError if either input is not a factor.
     """
     i = find_occurrence_after(u1, 1)
     j = find_occurrence_after(v1r, i + len(u1) + 1)
-    out = tm_range(i, j + len(v1r) - 1)
-    spliced = out.startswith(u1) and out.endswith(v1r) and len(out) > len(u1) + len(v1r)
-    if not spliced or not is_tm_factor(out):
-        raise RuntimeError(f"internal error: T[{i}..{j + len(v1r) - 1}] does not splice {u1!r} and {v1r!r}")
-    return out
+    return tm_range(i, j + len(v1r) - 1)

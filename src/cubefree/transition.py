@@ -97,7 +97,7 @@ def transition_exists(u: str, v: str, d: int | None = None) -> TransitionResult:
             left = _direct_left(u, v, d)  # v's tree is finite: scan it all
             ctx = None if left is None else left[len(u) :] + v
         else:
-            return TransitionResult(True, construct_transition(u, v, d), TransitionMethod.THEOREM)
+            return TransitionResult(True, _construct(u, v, d), TransitionMethod.THEOREM)
     if ctx is None:
         return TransitionResult(False, None, TransitionMethod.EXHAUSTED)
     witness = _require_cube_free(u, ctx[: len(ctx) - len(v)], v)
@@ -109,20 +109,30 @@ def construct_transition(u: str, v: str, d: int | None = None) -> str:
 
     Both endpoints receive explicit infinite extensions (Y, r); prefixes of
     the two T-tails of twice the padded endpoints' lengths are spliced
-    inside T, giving Y1 + T-run + middle + reversed-T-run + Y2.  Raises
-    NotExtendableError (with the exhaustion evidence) if an endpoint fails.
+    inside T, giving Y1 + T-run + middle + reversed-T-run + Y2.  Over an
+    alphabet with c-letters the endpoints are first anchored (see
+    transition_dary).  Raises NotExtendableError (with the exhaustion
+    evidence) if an endpoint fails.
     """
-    d = _validated_pair(u, v, d)
+    return _construct(u, v, _validated_pair(u, v, d))
+
+
+def _construct(u: str, v: str, d: int) -> str:
+    """construct_transition on a checked pair: the one body that builds
+    every transition word, checked once as a whole."""
+    x = y = ""
+    u1, v1 = u, words.reverse(v)  # the binary stretches the splice joins
     if d >= 3:
-        return transition_dary(u, v, d)
-    c1 = extend.algorithm2(u, 2)
-    c2 = extend.algorithm2(words.reverse(v), 2)
-    p_len = len(u) + len(c1.Y)
-    q_len = len(v) + len(c2.Y)
-    u1 = thue_morse.tm_range(c1.r, c1.r + 2 * p_len - 1) if p_len else ""
-    v1 = thue_morse.tm_range(c2.r, c2.r + 2 * q_len - 1) if q_len else ""
-    mid = thue_morse.splice_pattern(u1, words.reverse(v1))
-    return _require_cube_free(u, c1.Y + mid + words.reverse(c2.Y), v)
+        x, u1 = _right_anchor(u, d)
+        y, v1 = _right_anchor(words.reverse(v), d)
+    c1 = extend.algorithm2(u1, 2)
+    c2 = extend.algorithm2(v1, 2)
+    p_len = len(u1) + len(c1.Y)
+    q_len = len(v1) + len(c2.Y)
+    t1 = thue_morse.tm_range(c1.r, c1.r + 2 * p_len - 1) if p_len else ""
+    t2 = thue_morse.tm_range(c2.r, c2.r + 2 * q_len - 1) if q_len else ""
+    mid = thue_morse.splice_pattern(t1, words.reverse(t2))
+    return _require_cube_free(u, x + c1.Y + mid + words.reverse(y + c2.Y), v)
 
 
 def _right_anchor(s: str, d: int) -> tuple[str, str]:
@@ -166,7 +176,4 @@ def transition_dary(u: str, v: str, d: int | None = None) -> str:
     d = _validated_pair(u, v, d)
     if d < 3:
         raise ValueError("transition_dary requires an alphabet with c-letters")
-    x, u1 = _right_anchor(u, d)
-    y, v1 = _right_anchor(words.reverse(v), d)
-    w1 = construct_transition(u1, words.reverse(v1), 2)
-    return _require_cube_free(u, x + w1 + words.reverse(y), v)
+    return _construct(u, v, d)

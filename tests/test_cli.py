@@ -1,9 +1,12 @@
 import json
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 from cubefree import extend, thue_morse, words
-from cubefree.cli import main
+from cubefree.cli import build_parser, main
 from cubefree.extend import TailCertificate
 
 
@@ -290,3 +293,39 @@ def test_json_output_is_deterministic(capsys):
     rc1, out1, _ = run(capsys, "extend", "aab", "--json")
     rc2, out2, _ = run(capsys, "extend", "aab", "--json")
     assert (rc1, out1) == (rc2, out2)
+
+
+_NO_THIRD_PARTY = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from cubefree.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[2])]
+known = sys.stdlib_module_names | {"__main__", "cubefree"}
+print(json.dumps([codes, sorted(name for name in sys.modules if name.split(".")[0] not in known)]))
+"""
+
+
+def test_every_command_loads_only_the_standard_library():
+    # -S: no site module, so no .pth file can import anything on its own
+    argvs = [
+        ["check", "abbabaab"],
+        ["extendable", "right", "abbabaab"],
+        ["extend", "abcab", "--json"],
+        ["transition", "ab", "ba", "--alphabet", "3"],
+        ["markers", "aabaa"],
+        ["tm", "--prefix", "16"],
+        ["enumerate", "2", "8"],
+        ["audit", "6"],
+        ["verify", '{"u": "ab", "v": "ba", "witness": "a"}'],
+    ]
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", _NO_THIRD_PARTY, str(src), json.dumps(argvs)],
+        capture_output=True, text=True, check=True,
+    )
+    codes, foreign = json.loads(done.stdout)
+    commands = next(a.choices for a in build_parser()._actions if a.dest == "command")
+    assert sorted(argv[0] for argv in argvs) == sorted(commands)
+    assert codes == [0] * len(argvs)
+    assert foreign == []

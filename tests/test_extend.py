@@ -496,6 +496,20 @@ def test_a_dead_first_context_work_counts(append_checks):
         assert cert.verify(u)
         assert n <= bound, (u, n)
 
+
+def test_stage_two_verification_counts(monkeypatch):
+    # stage two verifies one candidate per builder, on the tail q only
+    calls = []
+    verify = TailCertificate.verify
+    monkeypatch.setattr(TailCertificate, "verify", lambda self, u: calls.append(u) or verify(self, u))
+    for u in FIRST_CONTEXT_DIES:
+        extend.clear_caches()
+        calls.clear()
+        cert = algorithm2(u, 2)
+        assert len(calls) <= 4, (u, len(calls))
+        assert cert.verify(u)
+
+
 def test_a_certified_context_is_not_memoized(monkeypatch):
     # a yes from the shortcut certificate adds no verdict; only what
     # _decide_right computes is memoized

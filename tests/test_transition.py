@@ -300,6 +300,23 @@ def test_transition_dary_examples(monkeypatch):
         transition_dary("ab", "ba", 2)
 
 
+def test_a_dary_witness_is_checked_once(monkeypatch):
+    # anchoring is the first step of the one construction, and only the
+    # whole word u + witness + v is checked, never the binary stretch's own
+    checked = []
+    require = transition._require_cube_free
+    monkeypatch.setattr(transition, "_require_cube_free", lambda u, w, v: checked.append(w) or require(u, w, v))
+    pairs = [(u, v, d) for u, v, d in FORCED_C_WITNESSES] + [(u, v, 3) for u, v in C_EXTENSION_WITNESSES]
+    for u, v, d in pairs:
+        extend.clear_caches()
+        checked.clear()
+        w = transition_dary(u, v, d)
+        assert checked == [w], (u, v, d)
+        checked.clear()
+        assert construct_transition(u, v, d) == w
+        assert checked == [w], (u, v, d)
+
+
 def test_transition_exists_dary_direct_context():
     # "cabaccabac" is cube-free, so the direct search answers with w = ""
     r = transition_exists("cabac", "cabac", 3)
