@@ -321,6 +321,10 @@ def t_extend_uniform(u: str) -> TailCertificate:
     T-positions 6 and 20; a word one letter past alignment either absorbs
     that letter into the tail (positions 7 / 21) or, when the letter heads
     the wrong way, extends by one letter back to alignment first.
+
+    That step is never blocked here: the other letter makes aaa or bbb, so
+    a blocked step would leave u with no nonempty right context at all,
+    and the precondition demands one of length 2 or 3.
     """
     words.validate_word(u, 2)
     if words.find_cube(u) is not None:
@@ -330,11 +334,7 @@ def t_extend_uniform(u: str) -> TailCertificate:
     right_aligned = analysis.is_right_aligned(u)
     if not any(_contexts_of_length(u, 3)) and not (right_aligned and any(_contexts_of_length(u, 2))):
         raise ValueError(f"{u!r} has no qualifying short right context")
-    cert = _uniform_tail(u, 0)
-    if cert is None:
-        step = "b" if u[-1] == "a" else "a"
-        raise RuntimeError(f"alignment step letter {step!r} is blocked for {u!r}")
-    return cert._checked(u)
+    return _uniform_tail(u, 0)._checked(u)
 
 
 # The candidate builders: each returns an unchecked certificate for word
@@ -346,7 +346,7 @@ def t_extend_uniform(u: str) -> TailCertificate:
 
 def _uniform_tail(word: str, start: int) -> TailCertificate | None:
     """t_extend_uniform's construction on the uniform cube-free tail
-    word[start:]; None where the alignment step letter is blocked."""
+    word[start:]; None where the alignment step is blocked."""
     u = word[start:]
     n = len(u)
     if thue_morse.tm_prefix(n) == u:
@@ -379,38 +379,16 @@ def _t_tail(word: str, start: int) -> TailCertificate:
     return TailCertificate("", _tail_start(word[start:], prefer_tm=True), start)
 
 
-def _attach_tail(u: str, consumed: str) -> TailCertificate | None:
-    """Verified certificate for u whose Y begins with consumed, a
-    right-aligned prefix of a uniform context of u; None on a miss.  A
-    uniform u + consumed takes the uniform construction whole; otherwise
-    the word is re-split at its rightmost marker, whose first letter ends
-    the new stem, and a long right-aligned rest continues into T."""
-    s = u + consumed
-    if analysis.is_uniform(s):
-        cert = _uniform_tail(s, 0)
-    else:
-        marks = analysis.scan_markers(s)
-        if not marks:
-            return None
-        split = marks[-1].position
-        if split > len(u) or not analysis.is_right_aligned(s[split:]) or len(s) - split < 2 * split:
-            return None
-        cert = _t_tail(s, split)
-    if cert is None or not cert.verify(s):
-        return None
-    return TailCertificate(consumed + cert.Y, cert.r, cert.seam, cert.tm_aligned)
-
-
 def t_extend_with_uniform_context(u: str, w: str) -> TailCertificate:
     """Tail certificate for a cube-free word with a long uniform context.
 
     Requires u + w cube-free, w uniform of length at least 2|u| + 3, and w
-    free of the prefixes ababa/babab.  Only a right-aligned prefix of w of
-    length 2|u| or 2|u|+1 is consumed; the rest of w witnesses the needed
-    context lengths.  If the consumed prefix keeps u + prefix uniform the
-    short-context construction applies directly; otherwise the word is
-    re-split at its rightmost marker, whose trailing part is a long
-    right-aligned word that a T-tail continues.
+    free of the prefixes ababa/babab.  Only the first right-aligned of the
+    prefixes of length 2|u| and 2|u|+1 of w is consumed; the rest of w
+    witnesses the needed context lengths.  If the consumed prefix keeps
+    u + prefix uniform the short-context construction applies directly;
+    otherwise the word is re-split at its rightmost marker, whose trailing
+    part is a long right-aligned word that a T-tail continues.
     """
     words.validate_word(u + w, 2)
     if not words.is_cube_free(u + w):
@@ -430,12 +408,32 @@ def t_extend_with_uniform_context(u: str, w: str) -> TailCertificate:
 # certificate its extendability decision has already verified.
 @functools.lru_cache(maxsize=64)
 def _uniform_context_tail(u: str, w: str) -> TailCertificate:
-    for k in (2 * len(u), 2 * len(u) + 1):
-        if analysis.is_right_aligned(w[:k]):
-            cert = _attach_tail(u, w[:k])
-            if cert is not None:
-                return cert
-    raise RuntimeError(f"internal error: no tail attaches to {u!r} with uniform context {w!r}")
+    """Verified certificate for u whose Y begins with w[:k], the first
+    right-aligned of the prefixes of length k = 2|u| and 2|u|+1 of w.  A
+    uniform s = u + w[:k] takes the uniform construction whole; otherwise
+    s is re-split at its rightmost marker, whose first letter ends the new
+    stem, and the rest continues into T.  The construction cannot miss, so
+    it is checked once, and a failed check is an internal error:
+
+    - the uniform construction is never None: w[k:] is a nonempty right
+      context of s, and a blocked alignment step would leave s no right
+      context at all (the other letter makes aaa or bbb);
+    - a non-uniform cube-free binary s contains one of NON_UNIFORM_FACTORS,
+      each of which holds a marker, so the marker scan is never empty;
+    - the doubled letters of w sit at one parity, so one of the two
+      lengths is right aligned; for |u| >= 3 only one is (w does not begin
+      with ababa/babab, so w[:6] has a doubled letter), and a second
+      length could matter only for |u| <= 2, where 14 of the 82 uniform
+      contexts have both aligned and the first attaches on all 82
+      (test_the_tail_attachment_takes_the_first_aligned_length).
+    """
+    k = 2 * len(u) if analysis.is_right_aligned(w[: 2 * len(u)]) else 2 * len(u) + 1
+    s = u + w[:k]
+    if analysis.is_uniform(s):
+        cert = _uniform_tail(s, 0)
+    else:
+        cert = _t_tail(s, analysis.scan_markers(s)[-1].position)
+    return TailCertificate(w[:k] + cert.Y, cert.r, cert.seam, cert.tm_aligned)._checked(u)
 
 
 def _stays_uniform(q: str, x: str) -> bool:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -145,6 +146,44 @@ def test_tail_attachment_makes_no_full_cube_scan(monkeypatch):
     for u, q, _ in cases:
         extend._uniform_context_tail(u, q)
     assert full_scans == []
+
+
+def test_t_extend_uniform_rejects_every_word_without_a_candidate():
+    # where the alignment step is blocked the word has no qualifying short
+    # context, so the precondition check answers before the construction
+    blocked = [
+        u
+        for u in oracle.iter_cube_free(2, 16)
+        if analysis.is_uniform(u) and extend._uniform_tail(u, 0) is None
+    ]
+    assert len(blocked) == 16
+    assert {"abaabbaabbaa", "aababbaabbaabb"} <= set(blocked)
+    for u in blocked:
+        with pytest.raises(ValueError, match="has no qualifying short right context"):
+            t_extend_uniform(u)
+
+
+def test_the_tail_attachment_takes_the_first_aligned_length(monkeypatch):
+    # every uniform context of a word of at most 2 letters, where both
+    # lengths can be aligned, and the first 20 of each word of at most 8
+    cases = [(u, q) for u in ("", "a", "b", "aa", "ab", "ba", "bb") for q in extend._uniform_contexts(u)]
+    assert len(cases) == 82
+    both = [(u, q) for u, q in cases if all(analysis.is_right_aligned(q[:k]) for k in (2 * len(u), 2 * len(u) + 1))]
+    assert len(both) == 14
+    for u in oracle.iter_cube_free(2, 8):
+        cases += [(u, q) for q in itertools.islice(extend._uniform_contexts(u), 20)]
+    assert len(cases) == 3072
+    verify = TailCertificate.verify
+    calls = []
+    monkeypatch.setattr(TailCertificate, "verify", lambda cert, w: calls.append(w) or verify(cert, w))
+    for u, q in cases:
+        extend.clear_caches()
+        calls.clear()
+        cert = extend._uniform_context_tail(u, q)
+        k = next(k for k in (2 * len(u), 2 * len(u) + 1) if analysis.is_right_aligned(q[:k]))
+        assert calls == [u], (u, q)
+        assert cert.Y.startswith(q[:k]), (u, q)
+        assert verify(cert, u), (u, q)
 
 
 def test_certificate_verify_rejects_tampering():

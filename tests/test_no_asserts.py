@@ -11,3 +11,42 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def _top_level_names(tree):
+    """(statement, names) for each top-level statement: the names, attributes
+    and string constants used anywhere in it."""
+    for stmt in tree.body:
+        used = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+        yield stmt, used
+
+
+def test_library_leaves_no_private_helper_unused():
+    # a module-level _helper that nothing but its own definition mentions is
+    # dead code left behind by a deletion
+    package = Path(cubefree.__file__).parent
+    files = sorted(package.glob("*.py")) + sorted(Path(__file__).parent.rglob("*.py"))
+    defined = []  # (file, statement, name)
+    used_elsewhere: dict[str, set] = {}  # name -> {(file, statement line)}
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt, used in _top_level_names(tree):
+            if path.parent == package and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                    defined.append((path, stmt.lineno, stmt.name))
+            for name in used:
+                used_elsewhere.setdefault(name, set()).add((path, stmt.lineno))
+    assert len(defined) > 50
+    unused = [
+        f"{path.name}:{line} {name}"
+        for path, line, name in defined
+        if not used_elsewhere.get(name, set()) - {(path, line)}
+    ]
+    assert unused == []
