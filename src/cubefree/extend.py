@@ -4,11 +4,10 @@ The central object is the tail certificate (Y, r): finite data denoting
 the infinite word u + Y + T[r..], where T is the Thue-Morse word.  A
 certificate is checked by a finite computation that is provably enough:
 a cube in u + Y + T[r..] cannot live inside the pure T-tail (T is
-cube-free), and one that touches the finite prefix P = u + Y has period
-at most |P| + 1, since a longer period would place a (2p+1)-length
-p-periodic factor -- an overlap -- inside T.  Such a cube ends within
-4|P| letters, so checking the prefix of length |P| + L with
-L = 4(|P|+1) + 64 settles the infinite claim.
+cube-free), and one starting at index i of the finite prefix P = u + Y
+keeps at most 2p of its letters in the overlap-free T-tail, so its
+period p is at most |P| - i and it ends within the first 3|P| letters.
+Checking that window, P + T[r .. r+2|P|-1], settles the infinite claim.
 
 Extendability is decided by a two-sided search: breadth-first exploration
 of the right-context tree (a finite tree means a definite "no"), with a
@@ -49,7 +48,10 @@ class NotExtendableError(ValueError):
 
 
 def verification_length(prefix_len: int) -> int:
-    """Tail length whose cube-freeness certifies the whole infinite word."""
+    """The T-tail length that a certificate reports as verified_prefix,
+    4(|P|+1) + 64 from an earlier, looser period bound.  A certificate
+    that verifies denotes a cube-free infinite word, so that prefix is
+    cube-free too; verify itself reads only 2|P| tail letters."""
     return 4 * (prefix_len + 1) + 64
 
 
@@ -71,17 +73,26 @@ class TailCertificate:
     def verified_prefix(self, u: str) -> int:
         return verification_length(len(u) + len(self.Y))
 
-    def verify(self, u: str) -> bool:
+    def verify(self, u: str, *, _after: int = 0) -> bool:
         """Re-check the certificate against the word it extends.
 
-        Only cubes starting inside u + Y are looked for: the rest of the
-        scanned word is a factor of T, which is cube-free."""
+        Only cubes starting inside P = u + Y are looked for: the rest of
+        the word is a factor of T, which is cube-free.  A cube starting at
+        index i < n = |P| with period p keeps at most 2p letters in the
+        T-tail, which is overlap-free, so p <= n - i and the cube ends by
+        3n - 2i <= 3n: the window P + T[r .. r+2n-1] is all there is to
+        scan.
+
+        _after (internal) is a length whose prefix of P an exact cube
+        check has already covered (see words.find_cube); only cubes ending
+        past it are looked for.  A caller outside this module scans from
+        scratch."""
         if self.r < 1:
             return False
         prefix = u + self.Y
-        length = self.verified_prefix(u)
-        full = prefix + thue_morse.tm_range(self.r, self.r + length)
-        if words.find_cube(full, _before=len(prefix)) is not None:
+        n = len(prefix)
+        full = prefix + thue_morse.tm_range(self.r, self.r + 2 * n)
+        if words.find_cube(full[: 3 * n], _before=n, _after=_after) is not None:
             return False
         if not 0 <= self.seam <= len(prefix):
             return False
@@ -98,8 +109,8 @@ class TailCertificate:
                 return False
         return True
 
-    def _checked(self, u: str) -> "TailCertificate":
-        if not self.verify(u):
+    def _checked(self, u: str, *, _after: int = 0) -> "TailCertificate":
+        if not self.verify(u, _after=_after):
             raise RuntimeError(
                 f"internal error: constructed certificate (Y={self.Y!r}, r={self.r}) "
                 f"fails verification for {u!r}"
@@ -433,7 +444,7 @@ def _uniform_context_tail(u: str, w: str) -> TailCertificate:
         cert = _uniform_tail(s, 0)
     else:
         cert = _t_tail(s, analysis.scan_markers(s)[-1].position)
-    return TailCertificate(w[:k] + cert.Y, cert.r, cert.seam, cert.tm_aligned)._checked(u)
+    return TailCertificate(w[:k] + cert.Y, cert.r, cert.seam, cert.tm_aligned)._checked(u, _after=len(s))
 
 
 def _stays_uniform(q: str, x: str) -> bool:
@@ -475,7 +486,7 @@ def _extends_right(s: str, q: str) -> bool:
     word = s + q
     for build in (_t_tail, _uniform_tail):
         cert = build(word, len(s))
-        if cert is not None and cert.verify(word):
+        if cert is not None and cert.verify(word, _after=len(word)):
             return True
     return _decide_right(word, 2).extendable
 
@@ -530,7 +541,7 @@ def _node_certificate(s: str, d: int) -> TailCertificate | None:
     s2, w, sub = hit
     cert2 = sub.certificate
     seam = len(s) - len(s2) + cert2.seam
-    return TailCertificate(w + cert2.Y, cert2.r, seam, tm_aligned=False)._checked(s)
+    return TailCertificate(w + cert2.Y, cert2.r, seam, tm_aligned=False)._checked(s, _after=len(s + w))
 
 
 def _cube_free_word(u: str, d: int | None) -> int:
@@ -664,6 +675,9 @@ def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> Ta
         grown, anchor, rounds = _lift(u, d)
         if stats is not None:
             stats["stage1_iterations"] += rounds
+    # stage one walks u + grown itself; stage two's marker steps are walked
+    # on the binary anchor only and reach u + grown through the lifting
+    walked = len(u + grown)
 
     for _ in range(_iteration_cap(u)):
         if stats is not None:
@@ -685,4 +699,4 @@ def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> Ta
     # without a stage-one lift the certificate is sub restated for u, and
     # the tail attachment has already verified exactly that word; a lifted
     # one equal to the extendability verdict's was verified with the verdict
-    return cert if unlifted or cert == verdict.certificate else cert._checked(u)
+    return cert if unlifted or cert == verdict.certificate else cert._checked(u, _after=walked)

@@ -118,7 +118,7 @@ def _back_extension(w: str, i: int, p: int, cap: int) -> int:
     return lo
 
 
-def find_cube(w: str, *, _before: int | None = None) -> CubeWitness | None:
+def find_cube(w: str, *, _before: int | None = None, _after: int = 0) -> CubeWitness | None:
     """Leftmost cube occurrence (ties broken by smallest period), or None.
 
     A cube of period p is a stretch of 2p consecutive positions j with
@@ -137,15 +137,27 @@ def find_cube(w: str, *, _before: int | None = None) -> CubeWitness | None:
     below it: the search starts as if a cube had been found there, so the
     block pruning skips every later block.  The verifier uses it on words
     whose suffix from that index on is known to be cube-free.
+
+    _after (internal), the mirror, is a length a for which the caller
+    vouches that w[:a] is cube-free, so every cube ends past a.  A cube of
+    period p then starts after a - 3p, and the block loop for p starts at
+    the aligned block f = (a - 3p) // p * p when a > 3p, at 0 otherwise.
+    The witness is unchanged.  Only block f lacks its predecessor, and its
+    back extension is capped at p - 1: if its stretch began earlier and
+    reached a cube from f - p + 1, the stretch would hold one from f - p,
+    ending by f + 2p < a.  Callers pass _after only for a prefix that an
+    exact cube check has covered.
     """
     n = len(w)
     # 0-based start and period of the best cube so far
     best, best_p = (n if _before is None else min(n, _before)), 0
+    top = (_after + 2) // 3  # 3p < _after exactly when p < top
     for p in range(1, n // 3 + 1):
         if best == 0:
             break  # nothing precedes position 0, and smaller p came first
         # a cube met at block i starts after i - p: later blocks cannot beat best
-        for i in range(0, min(n - 2 * p, best + p - 2) + 1, p):
+        first = (_after - 3 * p) // p * p if p < top else 0
+        for i in range(first, min(n - 2 * p, best + p - 2) + 1, p):
             if w[i : i + p] != w[i + p : i + 2 * p]:
                 continue
             start = i - _back_extension(w, i, p, min(i, p - 1))

@@ -278,6 +278,19 @@ def test_thue_morse_positions_past_the_bound_build_nothing(capsys, argv, message
     assert len(thue_morse._prefix) == cached
 
 
+@pytest.mark.parametrize("past, rc, out", [(0, 0, "valid"), (1, 2, "")])
+def test_verify_reads_t_up_to_r_plus_twice_the_prefix(capsys, past, rc, out):
+    # the certificate (word, "", r) with word = T[r-8 .. r-1] denotes a tail
+    # of T; verify reads T up to position r + 2|word|, so it answers while
+    # that stays within 2^24 and exits 2 one position past it.  The scan up
+    # to r + 4(|word|+1) + 64 of the looser period bound exited 2 on both.
+    r = (1 << 24) - 16 + past
+    cert = {"word": thue_morse.tm_range(r - 8, r - 1), "Y": "", "r": r}
+    got = run(capsys, "verify", json.dumps(cert))
+    assert got[:2] == (rc, out)
+    assert rc == 0 or got[2].startswith("error: malformed certificate: positions into T are limited to")
+
+
 def test_verify_scans_a_tail_certificate_once(capsys, monkeypatch):
     rc, out, _ = run(capsys, "extend", "abbabaab", "--json")
     assert rc == 0

@@ -175,7 +175,7 @@ def test_the_tail_attachment_takes_the_first_aligned_length(monkeypatch):
     assert len(cases) == 3072
     verify = TailCertificate.verify
     calls = []
-    monkeypatch.setattr(TailCertificate, "verify", lambda cert, w: calls.append(w) or verify(cert, w))
+    monkeypatch.setattr(TailCertificate, "verify", lambda cert, w, **kw: calls.append(w) or verify(cert, w, **kw))
     for u, q in cases:
         extend.clear_caches()
         calls.clear()
@@ -385,7 +385,7 @@ def test_algorithm2_does_not_reverify_the_verdict_certificate(monkeypatch):
     # certificate is that same one, algorithm2 does not check it again
     checked = []
     verify = TailCertificate.verify
-    monkeypatch.setattr(TailCertificate, "verify", lambda self, base: checked.append(base) or verify(self, base))
+    monkeypatch.setattr(TailCertificate, "verify", lambda self, base, **kw: checked.append(base) or verify(self, base, **kw))
     for u, d in (("abc", 3), ("cabac", 3), ("abcdabc", 4)):
         extend.clear_caches()
         assert is_right_extendable(u, d).extendable
@@ -536,11 +536,39 @@ def test_a_dead_first_context_work_counts(append_checks):
         assert n <= bound, (u, n)
 
 
+def test_verification_work_counts(monkeypatch):
+    # letters verify hands to find_cube on a cold algorithm2, and those past
+    # the prefix its caller vouches for; counts do not drift with the host.
+    # Before the 3|P| window and the vouched prefix both counts were
+    # 4958; 717/807/852/852/897; 691
+    def letters(u, d):
+        handed = []
+        find_cube = words.find_cube
+
+        def counted(w, **kw):
+            if kw.get("_before") is not None:  # only verify bounds the start
+                handed.append((len(w), kw.get("_after", 0)))
+            return find_cube(w, **kw)
+
+        with monkeypatch.context() as m:
+            m.setattr(words, "find_cube", counted)
+            extend.clear_caches()
+            algorithm2(u, d)
+        return sum(n for n, _ in handed), sum(n - a for n, a in handed)
+
+    cases = [(LONG_BINARY, 2, 2892, 1928)]
+    cases += [(u, 2, n, m) for u, n, m in zip(FIRST_CONTEXT_DIES, (306, 360, 387, 387, 414), (204, 240, 258, 258, 276))]
+    cases += [("cbbabbabb", 3, 249, 186)]
+    for u, d, window, unvouched in cases:
+        n, m = letters(u, d)
+        assert n <= window and m <= unvouched, (u, d, n, m)
+
+
 def test_stage_two_verification_counts(monkeypatch):
     # stage two verifies one candidate per builder, on the tail q only
     calls = []
     verify = TailCertificate.verify
-    monkeypatch.setattr(TailCertificate, "verify", lambda self, u: calls.append(u) or verify(self, u))
+    monkeypatch.setattr(TailCertificate, "verify", lambda self, u, **kw: calls.append(u) or verify(self, u, **kw))
     for u in FIRST_CONTEXT_DIES:
         extend.clear_caches()
         calls.clear()
@@ -578,23 +606,32 @@ def test_a_certified_context_is_not_memoized(monkeypatch):
     assert not any((w, 2) in extend._verdicts for w in shortcuts)
 
 
-def test_stage_two_takes_a_marker_step_after_a_miss(monkeypatch):
-    # the paper's marker step runs when no uniform context of the anchor
-    # keeps it extendable; force one miss of that search
+def _miss_once(monkeypatch):
+    """Make stage two's first uniform-context search miss, which forces a
+    marker step; returns the list of searched anchors, to be cleared
+    before each run."""
     search = extend._extendable_uniform_context
-    marker = extend._shortest_marker_extension
-    searched, steps = [], []
+    searched = []
 
     def miss_once(s):
         searched.append(s)
         return None if len(searched) == 1 else search(s)
+
+    monkeypatch.setattr(extend, "_extendable_uniform_context", miss_once)
+    return searched
+
+
+def test_stage_two_takes_a_marker_step_after_a_miss(monkeypatch):
+    # the paper's marker step runs when no uniform context of the anchor
+    # keeps it extendable; force one miss of that search
+    marker = extend._shortest_marker_extension
+    searched, steps = _miss_once(monkeypatch), []
 
     def marker_step(base):
         v = marker(base)
         steps.append((base, v))
         return v
 
-    monkeypatch.setattr(extend, "_extendable_uniform_context", miss_once)
     monkeypatch.setattr(extend, "_shortest_marker_extension", marker_step)
     for u in ("abbabaab", "aab", LONG_BINARY[:40]):
         extend.clear_caches()
@@ -608,6 +645,53 @@ def test_stage_two_takes_a_marker_step_after_a_miss(monkeypatch):
         assert cert.verify(u)
 
 
+def test_a_vouched_prefix_is_cube_free(monkeypatch):
+    # every caller that lets find_cube skip a prefix (_after) vouches for a
+    # prefix that is in fact cube-free, on the main paths and on a forced
+    # stage-two marker step, binary and lifted ternary
+    import contextlib
+    import io
+    import json
+    import random
+    from pathlib import Path
+
+    from cubefree.cli import main
+
+    find_cube = words.find_cube
+    vouched = []
+
+    def honest(w, **kw):
+        a = kw.get("_after", 0)
+        if a > 0:
+            assert oracle.naive_is_cube_free(w[:a]), (w, a)
+            vouched.append(a)
+        return find_cube(w, **kw)
+
+    monkeypatch.setattr(words, "find_cube", honest)
+    corpus = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
+    runs = [case for case in corpus if case["argv"][0] in ("extend", "extendable")]
+    assert len(runs) >= 20
+    extend.clear_caches()
+    for case in runs:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(case["argv"]) == case["exit"], case["argv"]
+    rng = random.Random(1729)
+    cases = [(u, 2) for u in FIRST_CONTEXT_DIES + (LONG_BINARY[:40],)]
+    cases += [(_random_cube_free(rng, rng.randint(4, 30), 3), 3) for _ in range(20)]
+    for u, d in cases:
+        extend.clear_caches()
+        assert is_right_extendable(u, d).extendable, u
+        algorithm2(u, d)
+    searched = _miss_once(monkeypatch)
+    for u, d in (("abbabaab", 2), ("cbbabbabb", 3)):
+        extend.clear_caches()
+        searched.clear()
+        stats = {}
+        algorithm2(u, d, stats=stats)
+        assert stats["stage2_iterations"] == 2, u
+    assert len(vouched) > 100
+
+
 def _tampered(cert):
     yield TailCertificate(cert.Y, cert.r + 1, cert.seam, cert.tm_aligned)
     yield TailCertificate(cert.Y, cert.r - 1, cert.seam, cert.tm_aligned)
@@ -616,9 +700,28 @@ def _tampered(cert):
         yield TailCertificate(cert.Y[:i] + flipped + cert.Y[i + 1 :], cert.r, cert.seam, cert.tm_aligned)
 
 
-def test_verify_matches_a_full_scan(monkeypatch):
-    # verify looks for cubes starting in u + Y only; scanning the whole
-    # word, T-tail included, gives the same answer
+def _full_scan_verdict(u, cert):
+    # verify's answer from scratch: no cube anywhere in u + Y + T[r .. r+L],
+    # L = verification_length(|u + Y|), found by an unbounded find_cube
+    # scan, and the seam and alignment claims checked directly
+    prefix = u + cert.Y
+    if cert.r < 1 or not 0 <= cert.seam <= len(prefix):
+        return False
+    tail = thue_morse.tm_range(cert.r, cert.r + extend.verification_length(len(prefix)))
+    if words.find_cube(prefix + tail) is not None:
+        return False
+    feed = prefix[cert.seam :]
+    if set(feed) - set("ab") or not analysis.is_uniform(feed):
+        return False
+    if cert.tm_aligned:
+        start = cert.r - len(prefix)
+        return start >= 1 and (not prefix or thue_morse.tm_range(start, cert.r - 1) == prefix)
+    return True
+
+
+def test_verify_matches_a_full_scan():
+    # verify scans a 3|u + Y| window for cubes starting in u + Y only;
+    # scanning the whole word, T-tail included, gives the same answer
     import random
 
     rng = random.Random(2718)
@@ -628,15 +731,22 @@ def test_verify_matches_a_full_scan(monkeypatch):
             u = _random_cube_free(rng, n, d)
             certified.append((u, algorithm2(u, d)))
             certified.append((u, is_right_extendable(u, d).certificate))
+    # lifted ternary certificates: stage one grows each word past its last
+    # c-letter, and cbbabbabb takes two rounds, so Y holds a c-letter
+    for u in ("cbbabbabb", "cbbaabbcbacaacaaccbc", "bbabcbbacbbaac", "bbaabacbba"):
+        stats = {}
+        extend.clear_caches()
+        cert = algorithm2(u, 3, stats=stats)
+        assert stats["stage1_iterations"] >= 1, u
+        certified.append((u, cert))
+    assert "c" in certified[-4][1].Y
     tampered = [(u, t) for u, c in certified for t in _tampered(c)]
     assert any(c.Y for _, c in certified)
     assert all(c.verify(u) for u, c in certified)
     bounded = [c.verify(u) for u, c in tampered]
     assert not all(bounded)
-    find_cube = words.find_cube
-    monkeypatch.setattr(words, "find_cube", lambda w, **kw: find_cube(w))
-    assert all(c.verify(u) for u, c in certified)
-    assert [c.verify(u) for u, c in tampered] == bounded
+    assert all(_full_scan_verdict(u, c) for u, c in certified)
+    assert [_full_scan_verdict(u, c) for u, c in tampered] == bounded
 
 
 def test_memo_tables_stay_within_their_cap(monkeypatch):

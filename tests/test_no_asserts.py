@@ -50,3 +50,17 @@ def test_library_leaves_no_private_helper_unused():
         if not used_elsewhere.get(name, set()) - {(path, line)}
     ]
     assert unused == []
+
+
+def test_only_extend_lets_find_cube_skip_a_prefix():
+    # _after vouches that a prefix is cube-free, which only the exact walks
+    # in extend.py know; the CLI, transition words and the oracle scan from
+    # scratch
+    passed = {}
+    for path in sorted(Path(cubefree.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        n = sum(1 for call in calls for kw in call.keywords if kw.arg == "_after")
+        if n:
+            passed[path.name] = n
+    assert set(passed) == {"extend.py"}, passed

@@ -242,6 +242,34 @@ def test_find_cube_with_a_start_bound_matches_the_filtered_reference():
                 assert [None if c is None else tuple(c) for c in got] == expected, w
 
 
+def _every_cube(w):
+    # brute force: every (1-based start, period) of a cube in w
+    found = []
+    for p in range(1, len(w) // 3 + 1):
+        flags = bytes(map(operator.eq, w[:-p], w[p:]))
+        found += [(i + 1, p) for i in range(len(w) - 3 * p + 1) if flags[i : i + 2 * p] == b"\1" * (2 * p)]
+    return found
+
+
+def test_find_cube_with_an_end_bound_matches_the_filtered_reference():
+    # for every start bound b and every a with w[:a] cube-free, the leftmost
+    # (then smallest-period) cube among those starting below b and ending
+    # past a
+    for letters, max_n in (("ab", 11), ("abc", 6)):
+        for n in range(max_n + 1):
+            for t in itertools.product(letters, repeat=n):
+                w = "".join(t)
+                cubes = _every_cube(w)
+                for a in range(n + 1):
+                    if not is_cube_free(w[:a]):
+                        break
+                    for b in range(n + 2):
+                        kept = (c for c in cubes if c[0] - 1 < b and c[0] - 1 + 3 * c[1] > a)
+                        expected = min(kept, default=None)
+                        got = find_cube(w, _before=b, _after=a)
+                        assert (None if got is None else tuple(got)) == expected, (w, a, b)
+
+
 def test_find_cube_on_long_thue_morse_factors_with_planted_cubes():
     t = thue_morse.tm_prefix(8192)
     for n, start, p in ((1024, 5, 1), (1024, 301, 37), (2048, 77, 256), (4096, 1000, 513), (4096, 3, 700)):
