@@ -129,6 +129,36 @@ def test_context_tree_full_mode_counts():
         assert n == direct
 
 
+def _levels_by_product(u, depth, alphabet):
+    """Levels 0..depth of u's right-context tree, ending at the first empty
+    one.  Cube-freeness is factor-closed, so level k is the product of level
+    k-1 with the alphabet, kept where naive_is_cube_free(u + x) holds; the
+    product of two sorted lists comes out sorted."""
+    levels = {0: [""]}
+    for k in range(1, depth + 1):
+        levels[k] = [x + y for x, y in itertools.product(levels[k - 1], alphabet) if naive_is_cube_free(u + x + y)]
+        if not levels[k]:
+            break
+    return levels
+
+
+def test_full_context_tree_matches_a_product_filter():
+    # ternary levels grow as about 2.7^k, so the ternary depths stop at 6
+    for d, max_u, max_depth in ((2, 8, 10), (3, 4, 6)):
+        alphabet = words.letters_of(d)
+        for u in [""] + list(oracle.iter_cube_free(d, max_u)):
+            levels = _levels_by_product(u, max_depth, alphabet)
+            for depth in range(max_depth + 1):
+                expected = {k: level for k, level in levels.items() if k <= depth}
+                alive = {k: len(level) for k, level in expected.items() if level}
+                rep = context_tree(u, depth, d=d, full=True)
+                assert rep.words_at_depth == expected, (u, depth)
+                assert (rep.alive_at_depth, rep.max_depth, rep.complete) == (alive, max(alive), True), (u, depth)
+                assert rep.exhausted == (depth not in alive), (u, depth)
+                probe = context_tree(u, depth, d=d)
+                assert (probe.exhausted, probe.max_depth) == (rep.exhausted, rep.max_depth), (u, depth)
+
+
 def test_theta_decompose_examples():
     assert theta_decompose("abba") == ("", "ab", "")
     assert theta_decompose("babba") == ("b", "ab", "")
@@ -206,3 +236,34 @@ def test_greedy_chain_search_small():
         assert words.is_cube_free(u + w)
     with pytest.raises(ValueError):
         greedy_chain_search(21)
+
+
+def _greedy_chain_reference(max_n):
+    """greedy_chain_search as first written: every candidate u + ctx + x is
+    rescanned whole by naive_is_cube_free."""
+    results = []
+    for u in oracle.iter_cube_free(2, max_n):
+        ctx = ""
+        reachable = None
+        while True:
+            for x in "ab":
+                cand = u + ctx + x
+                if not naive_is_cube_free(cand):
+                    continue
+                periods = oracle.qualifying_periods(cand)
+                if reachable is None:
+                    nxt = periods
+                else:
+                    nxt = {p for p in periods if len(reachable) > 1 or p not in reachable}
+                if nxt:
+                    ctx += x
+                    reachable = nxt
+                    break
+            else:
+                break
+        results.append((u, ctx, len(ctx)))
+    return results
+
+
+def test_greedy_chain_search_matches_the_whole_word_rescan():
+    assert greedy_chain_search(12) == _greedy_chain_reference(12)
