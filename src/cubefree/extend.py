@@ -609,13 +609,10 @@ def _shortest_c_extension(U: str, d: int) -> str:
     append keeps U right extendable; breadth-first and lexicographic, so
     deterministic.  Raises if none exists within half of |U| plus slack.
     U must be a cube-free word over the d letters; it is not re-checked."""
-    c_letters = words.letters_of(d)[2:]
     for v in _breadth_first(U, (len(U) + 1) // 2 + 2):
-        for c in c_letters:
-            if words.append_check(U + v, c, assume_cube_free=True) is not None:
-                continue
-            if _decide_right(U + v + c, d).extendable:
-                return v + c
+        for vc in _children(U, v, None, words.letters_of(d)[2:]):
+            if _decide_right(U + vc, d).extendable:
+                return vc
     raise RuntimeError(f"no extendability-preserving c-letter context found for {U!r}")
 
 
@@ -671,7 +668,7 @@ def algorithm2(u: str, d: int | None = None, *, stats: dict | None = None) -> Ta
 
     grown = ""
     anchor = u  # the binary word whose contexts lift to u + grown
-    if d >= 3 and (any(words.is_c_letter(ch) for ch in u) or not _decide_right(u, 2).extendable):
+    if d >= 3:
         grown, anchor, rounds = _lift(u, d)
         if stats is not None:
             stats["stage1_iterations"] += rounds

@@ -6,11 +6,15 @@ is checked by a loop of suffix slice comparisons, overlaps are found
 bit-parallel, Thue-Morse letters come from the parity formula instead of
 the morphism, and uniformity is decided by trying all decompositions.
 The acceptance suite leans on agreement between the two routes.
+
+The oracle has one walker, _contexts_in_tree_order, and one growth step,
+_extensions: context trees in both modes and the enumerations run the
+walker, and the greedy chains grow through the step.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import itertools
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple
 
@@ -94,6 +98,9 @@ def _suffix_cube(w: str, x: str) -> CubeWitness | None:
 
 
 def _extensions(u: str, ctx: str, alphabet: str) -> Iterator[str]:
+    """The children of the context ctx of u: each ctx + x, x in alphabet
+    order, with no cube suffix in u + ctx + x.  u + ctx must be cube-free,
+    so that checking the suffix alone is exact."""
     for x in alphabet:
         if _suffix_cube(u + ctx, x) is None:
             yield ctx + x
@@ -146,20 +153,7 @@ def iter_cube_free(d: int, max_n: int) -> Iterator[str]:
 
 def brute_count_cube_free(d: int, n: int) -> int:
     """Order-independent recount: filter all d^n words by the naive checker."""
-    alphabet = words.letters_of(d)
-    if n == 0:
-        return 1
-    total = 0
-    def rec(w: str) -> None:
-        nonlocal total
-        if len(w) == n:
-            if naive_is_cube_free(w):
-                total += 1
-            return
-        for x in alphabet:
-            rec(w + x)
-    rec("")
-    return total
+    return sum(naive_is_cube_free("".join(w)) for w in itertools.product(words.letters_of(d), repeat=n))
 
 
 @dataclass
@@ -183,46 +177,29 @@ class ContextTreeReport:
 def context_tree(u: str, depth: int, *, d: int | None = None, full: bool = False) -> ContextTreeReport:
     """Explore right contexts of u up to the given length.
 
-    exhausted is True iff no context of that length exists.  The default
-    probe mode stops at the first surviving branch (the tree of a word with
-    infinitely many contexts is far too big to walk whole); full mode walks
-    every node and additionally records the context words per depth.
+    exhausted is True iff no context of that length exists.  Both modes run
+    one depth-first walk.  The default probe mode stops at the first context
+    of that length (the tree of a word with infinitely many contexts is far
+    too big to walk whole); full mode walks every node and also records the
+    context words per length, each length in lexicographic order, and a
+    tree that dies early keeps its first empty length.
     """
     d = words.validate_word(u, d)
     if depth < 0:
         raise ValueError(f"depth must be non-negative, got {depth}")
     if not naive_is_cube_free(u):
         raise ValueError("context_tree requires a cube-free root")
-    alphabet = words.letters_of(d)
-    counts: Counter[int] = Counter({0: 1})
-    if full:
-        level = [""]
-        per_depth = {0: [""]}
-        k = 0
-        while level and k < depth:
-            level = [child for ctx in level for child in _extensions(u, ctx, alphabet)]
-            k += 1
-            counts[k] = len(level)
-            per_depth[k] = level
-        alive = {i: c for i, c in counts.items() if c}
-        exhausted = not level
-        max_depth = max(alive) if alive else 0
-        return ContextTreeReport(u, depth, exhausted, max_depth, alive, True, per_depth)
-
-    deepest = 0
-    survived = False
-    for ctx in _contexts_in_tree_order(u, alphabet, depth):
-        k = len(ctx)
-        if k:
-            counts[k] += 1
-        deepest = max(deepest, k)
-        if k == depth:
-            survived = True
+    per_depth: dict[int, list[str]] = {}
+    for ctx in _contexts_in_tree_order(u, words.letters_of(d), depth):
+        per_depth.setdefault(len(ctx), []).append(ctx)
+        if len(ctx) == depth and not full:
             break
-    exhausted = not survived
-    return ContextTreeReport(
-        u, depth, exhausted, depth if survived else deepest, dict(counts), exhausted
-    )
+    deepest = max(per_depth)
+    exhausted = deepest < depth
+    if exhausted:
+        per_depth[deepest + 1] = []  # the first empty level
+    alive = {k: len(level) for k, level in per_depth.items() if level}
+    return ContextTreeReport(u, depth, exhausted, deepest, alive, full or exhausted, per_depth if full else None)
 
 
 def survives_to(u: str, depth: int, d: int | None = None) -> bool:
@@ -295,17 +272,14 @@ def greedy_chain_search(max_n: int) -> list[tuple[str, str, int]]:
         ctx = ""
         reachable: set[int] | None = None
         while True:
-            for x in "ab":
-                cand = u + ctx + x
-                if not naive_is_cube_free(cand):
-                    continue
-                periods = qualifying_periods(cand)
+            for child in _extensions(u, ctx, "ab"):
+                periods = qualifying_periods(u + child)
                 if reachable is None:
                     nxt = periods
                 else:
                     nxt = {p for p in periods if len(reachable) > 1 or p not in reachable}
                 if nxt:
-                    ctx += x
+                    ctx = child
                     reachable = nxt
                     break
             else:

@@ -37,7 +37,8 @@ def _validated_pair(u: str, v: str, d: int | None) -> int:
 
 
 def _require_cube_free(u: str, w: str, v: str) -> str:
-    """The one witness check: w, once u + w + v is verified cube-free."""
+    """The one check on a constructed witness: w, once u + w + v is verified
+    cube-free.  A direct witness was checked letter by letter as it grew."""
     if not words.is_cube_free(u + w + v):
         raise RuntimeError(f"internal error: witness {w!r} leaves a cube in ({u!r}, {v!r})")
     return w
@@ -100,8 +101,8 @@ def transition_exists(u: str, v: str, d: int | None = None) -> TransitionResult:
             return TransitionResult(True, _construct(u, v, d), TransitionMethod.THEOREM)
     if ctx is None:
         return TransitionResult(False, None, TransitionMethod.EXHAUSTED)
-    witness = _require_cube_free(u, ctx[: len(ctx) - len(v)], v)
-    return TransitionResult(True, witness, TransitionMethod.DIRECT_CONTEXT)
+    # every letter of ctx passed an exact append_check (mirrored for _direct_left)
+    return TransitionResult(True, ctx[: len(ctx) - len(v)], TransitionMethod.DIRECT_CONTEXT)
 
 
 def construct_transition(u: str, v: str, d: int | None = None) -> str:

@@ -252,7 +252,7 @@ def test_algorithm2_binary_examples():
 
 
 def test_algorithm2_ternary_uses_stage_one():
-    for u, rounds in (("abc", 1), (SHORTEST_DEAD, 2)):
+    for u, rounds in (("ab", 1), ("abc", 1), (SHORTEST_DEAD, 2)):
         stats = {}
         cert = algorithm2(u, 3, stats=stats)
         assert cert.verify(u)

@@ -64,3 +64,37 @@ def test_only_extend_lets_find_cube_skip_a_prefix():
         if n:
             passed[path.name] = n
     assert set(passed) == {"extend.py"}, passed
+
+
+def _calls_of(tree, name):
+    """The calls in tree to a function or method called name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if (func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)) == name:
+                yield node
+
+
+def test_only_children_grows_a_walk_in_extend():
+    # extend._children is the one place where a walk grows a context, so the
+    # walk counters and budgets that live there see every walk
+    tree = ast.parse((Path(cubefree.__file__).parent / "extend.py").read_text(encoding="utf-8"))
+    children = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_children")
+    inside = set(_calls_of(children, "append_check"))
+    outside = [call.lineno for call in _calls_of(tree, "append_check") if call not in inside]
+    assert inside and outside == [], outside
+
+
+def test_the_oracle_stays_off_the_fast_paths():
+    # the oracle is the independent check on the library: it imports neither
+    # walkers nor constructions and calls none of the fast cube checks
+    tree = ast.parse((Path(cubefree.__file__).parent / "oracle.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert not imported & {"extend", "transition"}, imported
+    for name in ("find_cube", "append_check", "is_cube_free", "extension_is_cube_free"):
+        assert not list(_calls_of(tree, name)), name

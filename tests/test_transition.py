@@ -317,6 +317,25 @@ def test_a_dary_witness_is_checked_once(monkeypatch):
         assert checked == [w], (u, v, d)
 
 
+def test_transition_exists_checks_only_a_constructed_witness(monkeypatch):
+    # a direct witness grew letter by letter under exact append_checks and an
+    # exhausted answer has none: only the theorem's construction is checked
+    checked = []
+    require = transition._require_cube_free
+    monkeypatch.setattr(transition, "_require_cube_free", lambda u, w, v: checked.append(w) or require(u, w, v))
+    for u, v, d, method in (
+        ("ab", "ba", 2, TransitionMethod.DIRECT_CONTEXT),
+        ("bbabbabb", "baabbaab", 3, TransitionMethod.DIRECT_CONTEXT),
+        (DEAD, "a", 2, TransitionMethod.EXHAUSTED),
+        ("bbabbabb", "baabbaab", 2, TransitionMethod.EXHAUSTED),
+        ("aabaababaabbaa", "abaababaababaa", 2, TransitionMethod.THEOREM),
+    ):
+        checked.clear()
+        res = transition_exists(u, v, d)
+        assert res.method is method, (u, v, d)
+        assert checked == ([res.witness] if method is TransitionMethod.THEOREM else []), (u, v, d)
+
+
 def test_transition_exists_dary_direct_context():
     # "cabaccabac" is cube-free, so the direct search answers with w = ""
     r = transition_exists("cabac", "cabac", 3)
