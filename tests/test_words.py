@@ -97,22 +97,52 @@ def test_new_cubes_are_suffixes(w, x):
 def test_append_check_matches_the_oracle_loop_witness_by_witness():
     # bases with a cube included: under assume_cube_free=True the witness is
     # still the smallest-period cube suffix of w + x
-    for letters, max_n in (("ab", 14), ("abc", 8)):
+    for letters, max_n in (("ab", 16), ("abc", 9), ("abcd", 7)):
         for n in range(max_n + 1):
             for t in itertools.product(letters, repeat=n):
                 w = "".join(t)
                 for x in letters:
                     assert append_check(w, x, assume_cube_free=True) == oracle._suffix_cube(w, x), (w, x)
+
+
+def _planted_cases(base, periods):
+    # base + x, and words w + x ending in a planted cube of each period:
+    # base + root^3, and root^3 behind 0-2 letters, so that the period is
+    # a third of the length, rounded down
+    cases = [(base, x) for x in "ab"]
+    for p in periods:
+        if 1 <= p <= len(base):
+            cube = base[-p:] * 3
+            cases += [(w[:-1], w[-1]) for w in (base + cube[p:], cube, base[:1] + cube, base[:2] + cube)]
+    return cases
+
+
+def test_append_check_matches_the_oracle_loop_on_long_factors_with_planted_cubes():
     t = thue_morse.tm_prefix(6000)
-    for n in (10, 59, 60, 240, 961, 4000):
+    for n in (10, 47, 48, 49, 50, 59, 60, 240, 961, 4000):
         for start in range(0, 2000, 101):
             base = t[start : start + n]
-            cases = [(base, x) for x in "ab"]
-            for p in (1, 2, 3, 5, 16, n // 3):
-                root = base[-p:]  # base + root + root ends with a planted cube
-                cases.append((base + root + root[:-1], root[-1]))
-            for w, x in cases:
+            for w, x in _planted_cases(base, (1, 2, 3, 5, 15, 16, 17, 18, n // 3)):
                 assert append_check(w, x, assume_cube_free=True) == oracle._suffix_cube(w, x), (start, n)
+
+
+def _fibonacci_prefix(n):
+    w, v = "a", "ab"
+    while len(v) < n:
+        w, v = v, v + w
+    return v[:n]
+
+
+def test_append_check_matches_the_oracle_loop_on_fibonacci_factors():
+    # the Fibonacci word holds cubes and each of its factors recurs often:
+    # the most candidate periods a long-period search can meet; reversed, the
+    # recurring factors sit at the end that the suffix check reads
+    f = _fibonacci_prefix(16000)
+    for n in (47, 48, 49, 50, 51, 144, 987, 4181, 15000):
+        for start in (0, 1, 5, 13, 100, 377, 1000):
+            for base in (f[start : start + n], f[start : start + n][::-1]):
+                for w, x in _planted_cases(base, (15, 16, 17, 18, n // 3)):
+                    assert append_check(w, x, assume_cube_free=True) == oracle._suffix_cube(w, x), (start, n)
 
 
 def test_max_periodic_suffix_examples():
