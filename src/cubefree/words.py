@@ -140,23 +140,24 @@ def find_cube(w: str, *, _before: int | None = None, _after: int = 0) -> CubeWit
 
     _after (internal), the mirror, is a length a for which the caller
     vouches that w[:a] is cube-free, so every cube ends past a.  A cube of
-    period p then starts after a - 3p, and the block loop for p starts at
-    the aligned block f = (a - 3p) // p * p when a > 3p, at 0 otherwise.
-    The witness is unchanged.  Only block f lacks its predecessor, and its
-    back extension is capped at p - 1: if its stretch began earlier and
-    reached a cube from f - p + 1, the stretch would hold one from f - p,
-    ending by f + 2p < a.  Callers pass _after only for a prefix that an
-    exact cube check has covered.
+    period p then starts after a - 3p, so its first aligned block lies at
+    or after f = (a // p - 2) * p, and the block loop for p starts there
+    when 2p < a, at 0 otherwise.  The witness is unchanged.  Only block f
+    lacks its predecessor, and its back extension is capped at p - 1: if
+    its stretch began earlier and reached a cube from f - p + 1, the
+    stretch would hold one from f - p, ending by f + 2p <= a, inside the
+    vouched prefix.  Callers pass _after only for a prefix that an exact
+    cube check has covered.
     """
     n = len(w)
     # 0-based start and period of the best cube so far
     best, best_p = (n if _before is None else min(n, _before)), 0
-    top = (_after + 2) // 3  # 3p < _after exactly when p < top
+    top = (_after + 1) // 2  # 2p < _after exactly when p < top
     for p in range(1, n // 3 + 1):
         if best == 0:
             break  # nothing precedes position 0, and smaller p came first
         # a cube met at block i starts after i - p: later blocks cannot beat best
-        first = (_after - 3 * p) // p * p if p < top else 0
+        first = (_after // p - 2) * p if p < top else 0
         for i in range(first, min(n - 2 * p, best + p - 2) + 1, p):
             if w[i : i + p] != w[i + p : i + 2 * p]:
                 continue
@@ -178,28 +179,50 @@ def is_cube_free(w: str) -> bool:
 # The lazy group tries |x| = 1, 2, ... in turn, so a match has the smallest
 # period; DOTALL keeps every character matchable.
 _CUBE_PREFIX = re.compile(r"(.+?)\1\1", re.DOTALL)
+# Periods up to this one are tried by _CUBE_PREFIX, longer ones by jumps.
+_SHORT_PERIODS = 16
 
 
 def append_check(w: str, x: str, *, assume_cube_free: bool = False) -> CubeWitness | None:
     """Cube created by appending the letter x to the cube-free word w, if any.
 
-    Only suffixes of w+x can be fresh cubes.  The witness is the cube suffix
-    of smallest period (also when w is not cube-free), found by one compiled
-    regular-expression match on the reversal of w+x, so the scan over
-    periods runs in C.  Pass assume_cube_free=True in search loops where
-    the precondition is maintained inductively; by default the precondition
-    is verified and its violation raises ValueError.
+    Only suffixes of w+x can be fresh cubes, and a cube suffix of w+x is a
+    cube prefix of its reversal r.  The witness is the cube suffix of
+    smallest period (also when w is not cube-free), found in two phases,
+    each a few calls into C.  Periods up to 16 are left to one match of
+    _CUBE_PREFIX on r[:48].  A longer period q closes a cube iff r[q:3q]
+    == r[:2q], and once every period up to p is ruled out, any such q > p
+    has r[:p+1] (at most 2q letters) again at q: so str.find jumps straight
+    to the next occurrence of r[:p+1] past p, str.startswith tests it, and
+    the periods in between are never tried.  The jump needs nothing of w,
+    so the witness is exact on any base.  The split at 16 weighs the
+    engine's ~45 ns per period tried against ~0.26 µs of Python per jump:
+    with 8, random binary words of 30-36 letters checked about 10% slower,
+    and with 16 every word of up to 49 letters takes the match alone, as
+    it did before the jumps.
+    Pass assume_cube_free=True in search loops where the precondition is
+    maintained inductively; by default the precondition is verified and
+    its violation raises ValueError.
     """
     if len(x) != 1 or not "a" <= x <= "z":
         raise ValueError(f"appended letter must be a single letter, got {x!r}")
     if not assume_cube_free and find_cube(w) is not None:
         raise ValueError("append_check requires a cube-free base word")
-    wx = w + x
-    m = _CUBE_PREFIX.match(wx[::-1])
-    if m is None:
-        return None
-    p = m.end(1)
-    return CubeWitness(len(wx) - 3 * p + 1, p)
+    r = x + w[::-1]
+    n = len(r)
+    m = _CUBE_PREFIX.match(r, 0, 3 * _SHORT_PERIODS)
+    if m is not None:
+        p = m.end(1)
+        return CubeWitness(n - 3 * p + 1, p)
+    top = n // 3
+    p = _SHORT_PERIODS
+    while p < top:
+        p = r.find(r[: p + 1], p + 1, top + p + 1)
+        if p < 0:
+            return None
+        if r.startswith(r[: 2 * p], p):
+            return CubeWitness(n - 3 * p + 1, p)
+    return None
 
 
 def extension_is_cube_free(w: str, ext: str) -> bool:

@@ -536,32 +536,51 @@ def test_a_dead_first_context_work_counts(append_checks):
         assert n <= bound, (u, n)
 
 
+class _SliceCounting(str):
+    """A word that counts the slices taken of it."""
+
+    slices = 0
+
+    def __getitem__(self, key):
+        _SliceCounting.slices += 1
+        return str.__getitem__(self, key)
+
+
 def test_verification_work_counts(monkeypatch):
-    # letters verify hands to find_cube on a cold algorithm2, and those past
-    # the prefix its caller vouches for; counts do not drift with the host.
-    # Before the 3|P| window and the vouched prefix both counts were
-    # 4958; 717/807/852/852/897; 691
-    def letters(u, d):
+    # letters verify hands to find_cube on a cold algorithm2, those past the
+    # prefix its caller vouches for, and the slices find_cube takes of them;
+    # counts do not drift with the host.  Before the 3|P| window and the
+    # vouched prefix the letter counts were 4958; 717/807/852/852/897; 691,
+    # and before the block loop started one block later the slice counts
+    # were 6908; 710/828/966/972/952; 654
+    def work(u, d):
         handed = []
         find_cube = words.find_cube
 
         def counted(w, **kw):
-            if kw.get("_before") is not None:  # only verify bounds the start
-                handed.append((len(w), kw.get("_after", 0)))
-            return find_cube(w, **kw)
+            if kw.get("_before") is None:  # only verify bounds the start
+                return find_cube(w, **kw)
+            handed.append((len(w), kw.get("_after", 0)))
+            return find_cube(_SliceCounting(w), **kw)
 
         with monkeypatch.context() as m:
             m.setattr(words, "find_cube", counted)
             extend.clear_caches()
+            _SliceCounting.slices = 0
             algorithm2(u, d)
-        return sum(n for n, _ in handed), sum(n - a for n, a in handed)
+        return sum(n for n, _ in handed), sum(n - a for n, a in handed), _SliceCounting.slices
 
-    cases = [(LONG_BINARY, 2, 2892, 1928)]
-    cases += [(u, 2, n, m) for u, n, m in zip(FIRST_CONTEXT_DIES, (306, 360, 387, 387, 414), (204, 240, 258, 258, 276))]
-    cases += [("cbbabbabb", 3, 249, 186)]
-    for u, d, window, unvouched in cases:
-        n, m = letters(u, d)
-        assert n <= window and m <= unvouched, (u, d, n, m)
+    cases = [(LONG_BINARY, 2, 2892, 1928, 6244)]
+    cases += [
+        (u, 2, n, m, s)
+        for u, n, m, s in zip(
+            FIRST_CONTEXT_DIES, (306, 360, 387, 387, 414), (204, 240, 258, 258, 276), (642, 748, 876, 880, 860)
+        )
+    ]
+    cases += [("cbbabbabb", 3, 249, 186, 606)]
+    for u, d, window, unvouched, slices in cases:
+        n, m, s = work(u, d)
+        assert n <= window and m <= unvouched and s <= slices, (u, d, n, m, s)
 
 
 def test_stage_two_verification_counts(monkeypatch):

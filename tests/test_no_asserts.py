@@ -98,3 +98,18 @@ def test_the_oracle_stays_off_the_fast_paths():
     assert not imported & {"extend", "transition"}, imported
     for name in ("find_cube", "append_check", "is_cube_free", "extension_is_cube_free"):
         assert not list(_calls_of(tree, name)), name
+
+
+def test_only_append_check_matches_the_cube_prefix_pattern():
+    # the suffix check is one primitive: no other function of the library
+    # runs _CUBE_PREFIX, so every suffix check takes append_check's two phases
+    uses = []
+    for path in sorted(Path(cubefree.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            where = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name == "_CUBE_PREFIX" and not isinstance(getattr(node, "ctx", None), ast.Store):
+                    uses.append((path.name, where))
+    assert set(uses) == {("words.py", "append_check")}, uses
