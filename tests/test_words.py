@@ -106,9 +106,9 @@ def test_append_check_matches_the_oracle_loop_witness_by_witness():
 
 
 def _planted_cases(base, periods):
-    # base + x, and words w + x ending in a planted cube of each period:
-    # base + root^3, and root^3 behind 0-2 letters, so that the period is
-    # a third of the length, rounded down
+    # base + x, and for each period p, with root the last p letters of
+    # base, w + x ending in a planted cube: base + root^2, and root^3 behind
+    # 0-2 letters, where p is a third of the length, rounded down
     cases = [(base, x) for x in "ab"]
     for p in periods:
         if 1 <= p <= len(base):
