@@ -570,13 +570,9 @@ def test_verification_work_counts(monkeypatch):
             algorithm2(u, d)
         return sum(n for n, _ in handed), sum(n - a for n, a in handed), _SliceCounting.slices
 
+    caps = ((306, 204, 642), (360, 240, 748), (387, 258, 876), (387, 258, 880), (414, 276, 860))
     cases = [(LONG_BINARY, 2, 2892, 1928, 6244)]
-    cases += [
-        (u, 2, n, m, s)
-        for u, n, m, s in zip(
-            FIRST_CONTEXT_DIES, (306, 360, 387, 387, 414), (204, 240, 258, 258, 276), (642, 748, 876, 880, 860)
-        )
-    ]
+    cases += [(u, 2, *c) for u, c in zip(FIRST_CONTEXT_DIES, caps)]
     cases += [("cbbabbabb", 3, 249, 186, 606)]
     for u, d, window, unvouched, slices in cases:
         n, m, s = work(u, d)
